@@ -1,40 +1,25 @@
-"""Interpreter throughput: AST walker vs closure tier vs codegen tier.
+"""Interpreter throughput smoke: AST walker vs closure tier vs codegen tier.
 
 Measures warm steady-state statements/second for every registered engine
-(``repro.runtime.ENGINES``) on the five Table 5 workloads and on a tight
-arithmetic loop (the best case for compilation: almost no per-statement
-work besides dispatch).  All engines are bit-identical —
-tests/test_engine_equivalence.py proves it — so this file only measures.
+(``repro.runtime.ENGINES``) on a tight arithmetic loop, the best case for
+compilation: almost no per-statement work besides dispatch.  All engines
+are bit-identical — tests/test_engine_equivalence.py proves it — and
+``_measure`` re-checks value and step count before it reports a speedup.
 
-Methodology: one interpreter per engine, a warm-up run first (compilation
-and caches amortise there, reported separately as ``compile_seconds``),
-then best-of-N timed runs measured by steps-delta over wall clock.  The
-compile cost per engine comes from the
-``repro_engine_compile_seconds{engine=...}`` histogram.
+The two pytest entry points are the CI floors: the compiled tier must
+not be slower than the AST walker, and codegen must hold 2x over it.
+End-to-end engine cost (compile included, cold and warm) is measured by
+the repo's benchmark, ``perfbench/run.py`` (``warm_s`` and
+``runtime.*.exec_s``; see docs/BENCHMARKS.md)::
 
-Run as a script to regenerate the committed results::
-
-    PYTHONPATH=src python benchmarks/bench_interpreter_speed.py \
-        --output BENCH_interp.json
-
-``tools/check_bench.py`` guards the committed numbers (compiled must never
-be slower than ast, codegen must hold >=2x on every row and >=8x on the
-tight loop).  The pytest entry points below are the CI smoke variants: a
-small workload, asserting each compiled tier wins, without touching the
-committed file.
+    PYTHONPATH=src python -m pytest -q benchmarks/bench_interpreter_speed.py
 """
 
-import argparse
-import json
-import sys
 import time
 
-from repro import obs
 from repro.lang import check_program, parse_program
 from repro.runtime import ENGINES
-from repro.runtime.compile import M_COMPILE_SECONDS
 from repro.runtime.interpreter import Interpreter
-from repro.workloads.corpora import SPECS, build_corpus
 
 TIGHT_LOOP_SRC = """
 func int main(int n) {
@@ -48,31 +33,17 @@ func int main(int n) {
 }
 """
 
-TIGHT_LOOP_N = 200_000
-WORKLOAD_SCALE = 0.25
-WORKLOAD_ARGS = (2, 30)
-REPEATS = 3
+SMOKE_N = 50_000
+REPEATS = 2
 
 
-def _compile_seconds(registry, engine):
-    total = 0.0
-    for m in registry.collect():
-        if m.name == M_COMPILE_SECONDS and m.labels.get("engine") == engine:
-            total += m.sum
-    return total
-
-
-def _throughput(program, args, engine, repeats=REPEATS):
+def _throughput(program, args, engine, repeats):
     """Warm best-of-N statements/second for one program under one engine.
 
-    The first (untimed) run pays compilation and cache population; its
-    cost is reported separately so the steady-state rate is comparable
-    across engines.
-    """
-    with obs.telemetry() as (registry, _tracer):
-        interp = Interpreter(program, engine=engine)
-        value = interp.run("main", args)
-        compile_seconds = _compile_seconds(registry, engine)
+    The first (untimed) run pays compilation and cache population, so the
+    steady-state rate is comparable across engines."""
+    interp = Interpreter(program, engine=engine)
+    value = interp.run("main", args)
     steps = interp.steps
     best = 0.0
     for _ in range(repeats):
@@ -81,33 +52,22 @@ def _throughput(program, args, engine, repeats=REPEATS):
         interp.run("main", args)
         elapsed = time.perf_counter() - started
         best = max(best, (interp.steps - before) / elapsed)
-    return {
-        "value": value,
-        "steps": steps,
-        "stmts_per_s": best,
-        "compile_seconds": compile_seconds,
-    }
+    return value, steps, best
 
 
 def _measure(program, args, repeats=REPEATS):
+    """Speedup of each compiled tier over ``ast``, after checking that
+    every engine computed the same value in the same number of steps."""
     runs = {engine: _throughput(program, args, engine, repeats)
             for engine in ENGINES}
     # throughput may differ; the computation must not
     for engine in ENGINES:
-        assert runs["ast"]["value"] == runs[engine]["value"], engine
-        assert runs["ast"]["steps"] == runs[engine]["steps"], engine
-    ast_rate = runs["ast"]["stmts_per_s"]
-    row = {"steps": runs["ast"]["steps"]}
-    for engine in ENGINES:
-        row["%s_stmts_per_s" % engine] = round(runs[engine]["stmts_per_s"])
-    row["speedup"] = round(runs["compiled"]["stmts_per_s"] / ast_rate, 2)
-    row["codegen_speedup"] = round(runs["codegen"]["stmts_per_s"] / ast_rate, 2)
-    row["compile_seconds"] = {
-        engine: round(runs[engine]["compile_seconds"], 6)
-        for engine in ENGINES
-        if engine != "ast"
+        assert runs[engine][:2] == runs["ast"][:2], engine
+    ast_rate = runs["ast"][2]
+    return {
+        "speedup": round(runs["compiled"][2] / ast_rate, 2),
+        "codegen_speedup": round(runs["codegen"][2] / ast_rate, 2),
     }
-    return row
 
 
 def _tight_loop_program():
@@ -116,62 +76,11 @@ def _tight_loop_program():
     return program
 
 
-def run_suite(scale=WORKLOAD_SCALE, tight_n=TIGHT_LOOP_N, repeats=REPEATS):
-    results = {"tight_loop": _measure(_tight_loop_program(), (tight_n,),
-                                      repeats)}
-    for name in sorted(SPECS):
-        corpus = build_corpus(name, scale=scale)
-        results[name] = _measure(corpus.program, WORKLOAD_ARGS, repeats)
-    return {
-        "description": "interpreter throughput by engine (warm steady "
-                       "state, statements/second, best of %d)" % repeats,
-        "engines": list(ENGINES),
-        "scale": scale,
-        "tight_loop_n": tight_n,
-        "workloads": results,
-    }
-
-
-# -- pytest smoke entry points (CI: the compiled tiers must win) ---------------
-
-
 def test_compiled_engine_not_slower_smoke():
-    report = _measure(_tight_loop_program(), (50_000,), repeats=2)
+    report = _measure(_tight_loop_program(), (SMOKE_N,))
     assert report["speedup"] >= 1.0, report
 
 
 def test_codegen_engine_faster_smoke():
-    report = _measure(_tight_loop_program(), (50_000,), repeats=2)
+    report = _measure(_tight_loop_program(), (SMOKE_N,))
     assert report["codegen_speedup"] >= 2.0, report
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(prog="bench_interpreter_speed")
-    parser.add_argument("--scale", type=float, default=WORKLOAD_SCALE)
-    parser.add_argument("--tight-n", type=int, default=TIGHT_LOOP_N)
-    parser.add_argument("--repeats", type=int, default=REPEATS)
-    parser.add_argument("--output", help="write JSON here (default stdout)")
-    args = parser.parse_args(argv)
-
-    report = run_suite(scale=args.scale, tight_n=args.tight_n,
-                       repeats=args.repeats)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        print("wrote %s" % args.output)
-    else:
-        sys.stdout.write(text)
-    for name, row in sorted(report["workloads"].items()):
-        print("%-12s ast %9d/s  compiled %9d/s (%5.2fx)  "
-              "codegen %9d/s (%5.2fx)"
-              % (name, row["ast_stmts_per_s"], row["compiled_stmts_per_s"],
-                 row["speedup"], row["codegen_stmts_per_s"],
-                 row["codegen_speedup"]))
-        print("%-12s   compile seconds: %s"
-              % ("", json.dumps(row["compile_seconds"], sort_keys=True)))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

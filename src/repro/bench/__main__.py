@@ -20,20 +20,14 @@ def main(argv=None):
     parser.add_argument(
         "names",
         nargs="*",
-        help="which experiments (table1..table5, rtattr, loadgen, profile, "
-        "cache, fig2, fig3, attack); default all",
+        help="which experiments (table1..table5, fig2, fig3, attack); "
+        "default all",
     )
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument(
         "--engine", choices=list(ENGINES), default=DEFAULT_ENGINE,
         help="execution engine for the runtime experiments "
         "(table5, fig2, fig3); see docs/ENGINE.md",
-    )
-    parser.add_argument(
-        "--output", metavar="PATH",
-        help="write the 'profile' or 'cache' experiment's machine-readable "
-        "document here (BENCH_profile.json / BENCH_cache.json, gated by "
-        "tools/check_profile.py / tools/check_cache.py)",
     )
     args = parser.parse_args(argv)
 
@@ -44,13 +38,6 @@ def main(argv=None):
         "table4": lambda: experiments.run_table4(scale=args.scale),
         "table5": lambda: experiments.run_table5(scale=args.scale,
                                                  engine=args.engine),
-        "rtattr": lambda: experiments.run_rt_attribution(scale=args.scale),
-        "loadgen": lambda: experiments.run_loadgen_experiment(
-            scale=min(args.scale, 0.3)),
-        "profile": lambda: experiments.run_profile_experiment(
-            scale=min(args.scale, 0.3), output=args.output),
-        "cache": lambda: experiments.run_cache_experiment(
-            scale=min(args.scale, 0.3), output=args.output),
         "fig2": lambda: experiments.run_fig2_experiment(engine=args.engine),
         "fig3": lambda: experiments.run_fig3_experiment(engine=args.engine),
         "attack": experiments.run_attack_experiment,

@@ -5,7 +5,6 @@ text table matching the paper's layout, so benchmarks can both assert on
 shapes and print the reproduction next to the paper's numbers.
 """
 
-import threading
 from functools import lru_cache
 
 from repro import obs
@@ -20,9 +19,9 @@ from repro.runtime.channel import M_ROUND_TRIPS, M_SIM_MS, LatencyModel
 from repro.runtime import DEFAULT_ENGINE
 from repro.runtime.interpreter import M_STEPS
 from repro.runtime.splitrun import check_equivalence, run_original, run_split
-from repro.security.lattice import CType, VARYING
+from repro.security.lattice import CType
 from repro.security.report import analyze_split_security
-from repro.workloads.corpora import SPECS, build_corpus
+from repro.workloads.corpora import build_corpus
 from repro.workloads.inputs import TABLE5_RUNS
 
 #: the paper's Table 1 column order and Table 2 row order
@@ -308,382 +307,6 @@ def run_table5(scale=1.0, latency=None, runs=None, batching=False,
             "%.0f%%" % run.paper_increase_pct,
         )
     return ExperimentResult("table5", data, table)
-
-
-# -- Round-trip latency attribution (the wire behind Table 5) ----------------
-
-
-def run_rt_attribution(scale=0.3, runs=None):
-    """Where the real wire time goes, per Table 5 corpus.
-
-    Table 5's overhead numbers are simulated; this experiment runs each
-    corpus once against an actual TCP-served hidden component with
-    distributed tracing on (``--trace``, docs/OBSERVABILITY.md) and
-    decomposes the measured round trips into serialize / wire / exec /
-    deser.  The "Explained" column is the share of the measured wall time
-    the four phases account for — 100% up to rounding, by construction.
-    """
-    from repro.obs import traceview
-    from repro.obs.events import FlightRecorder
-    from repro.runtime.remote import remote_server, run_split_remote
-
-    runs = runs if runs is not None else TABLE5_RUNS
-    picked = []
-    for run in runs:  # first driver invocation of each benchmark
-        if all(p.benchmark != run.benchmark for p in picked):
-            picked.append(run)
-    table = Table(
-        "Round-trip latency attribution over the wire (us, share of wall)",
-        ["Benchmark", "Round trips", "Wall (us)", "serialize", "wire",
-         "exec", "deser", "Explained"],
-    )
-    data = {}
-    for run in picked:
-        sp = split_corpus(run.benchmark, scale)
-        recorder = FlightRecorder(process="Of")
-        with remote_server(sp) as address:
-            # telemetry scoped to the client only: the server thread was
-            # created outside, so its events stay out of this recorder
-            with obs.telemetry(recorder=recorder):
-                run_split_remote(sp, address, args=(run.n, run.m),
-                                 trace=True)
-        report = traceview.attribution(list(recorder.events))
-        overall = report["overall"]
-        data[run.benchmark] = report
-        total = overall["total_us"] or 1.0
-        cells = [run.benchmark, overall["round_trips"],
-                 "%.1f" % overall["total_us"]]
-        for phase in ("serialize", "wire", "exec", "deser"):
-            us = overall["phases_us"][phase]
-            cells.append("%.1f (%.0f%%)" % (us, 100.0 * us / total))
-        cells.append("%.2f%%" % overall["coverage_pct"])
-        table.add_row(*cells)
-    return ExperimentResult("rtattr", data, table)
-
-
-# -- Concurrent load against the multi-tenant daemon -------------------------
-
-
-def run_loadgen_experiment(scale=0.3, clients_total=100, iterations=1,
-                           runs=None):
-    """Concurrent load against ONE daemon serving every Table 5 corpus.
-
-    Each corpus becomes a tenant of a single multi-tenant daemon
-    (docs/OPERATIONS.md); its session shape comes from a simulated run's
-    transcript (the same extraction ``repro loadgen`` applies to a
-    ``--log-events`` file).  ``clients_total`` synthetic clients — split
-    evenly across the tenants, all fleets offered concurrently — replay
-    those shapes over real TCP, and the table reports per-tenant
-    throughput and exact p50/p95/p99 round-trip latency.
-    """
-    from repro.loadgen import run_loadgen
-    from repro.loadgen.replay import script_from_transcript
-    from repro.runtime.remote import remote_server
-    from repro.runtime.server import Tenant
-
-    runs = runs if runs is not None else TABLE5_RUNS
-    picked = []
-    for run in runs:  # first driver invocation of each benchmark
-        if all(p.benchmark != run.benchmark for p in picked):
-            picked.append(run)
-    tenants, scripts = [], {}
-    for run in picked:
-        sp = split_corpus(run.benchmark, scale)
-        tenants.append(Tenant.from_program(run.benchmark, sp))
-        scripts[run.benchmark] = script_from_transcript(
-            run_split(sp, args=(run.n, run.m)).channel.transcript
-        )
-    per_tenant = max(1, clients_total // len(picked))
-    reports = {}
-    with remote_server(tenants=tenants) as address:
-        def fleet(name):
-            reports[name] = run_loadgen(
-                address, scripts[name], clients=per_tenant,
-                iterations=iterations, program=name,
-            )
-        threads = [threading.Thread(target=fleet, args=(run.benchmark,))
-                   for run in picked]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    table = Table(
-        "Concurrent load: %d clients against one %d-tenant daemon"
-        % (per_tenant * len(picked), len(picked)),
-        ["Tenant", "Clients", "Ops", "Ops/s", "p50 (ms)", "p95 (ms)",
-         "p99 (ms)", "Errors"],
-    )
-    for run in picked:
-        report = reports[run.benchmark]
-        lat = report["latency_ms"]
-        errors = sum(report["errors"].values())
-        table.add_row(
-            run.benchmark, report["clients"], report["ops"],
-            "%.0f" % report["throughput_ops_s"],
-            "%.2f" % lat["p50"], "%.2f" % lat["p95"], "%.2f" % lat["p99"],
-            errors,
-        )
-    data = {
-        "scale": scale,
-        "clients_total": per_tenant * len(picked),
-        "tenants": [run.benchmark for run in picked],
-        "reports": reports,
-    }
-    return ExperimentResult("loadgen", data, table)
-
-
-# -- Fragment result cache over the corpora -----------------------------------
-
-
-def _observable_tuple(result):
-    """Everything a run exposes: value, output, steps, full transcript."""
-    events = []
-    if result.channel is not None and result.channel.transcript is not None:
-        events = [
-            (e.seq, e.kind, e.hid, e.fn_name, e.label, e.sent, e.result)
-            for e in result.channel.transcript.events
-        ]
-    return (result.value, tuple(result.output), result.steps_open,
-            result.steps_hidden, result.interactions, events)
-
-
-def run_cache_experiment(scale=0.3, clients=4, iterations=6, engines=None,
-                         output=None, runs=None):
-    """Transparency and payoff of the fragment result cache (docs/CACHING.md).
-
-    Two parts, one document (``BENCH_cache.json``, gated by
-    ``tools/check_cache.py``):
-
-    * **equivalence** — every Table 5 corpus x every engine, ``cache=True``
-      against ``cache=False`` through :func:`run_split`: return value,
-      output, both step counts, and the full channel transcript must be
-      bit-identical (the gate is 0 divergences);
-    * **replay** — a repeat-heavy loadgen replay (``iterations`` script
-      repetitions per client, each over one connection and therefore one
-      warm session cache) of every corpus against a caching daemon,
-      reporting per-tenant hit rates, the fragment executions the cache
-      saved, and wall/CPU deltas against an identical uncached run.
-    """
-    import json
-    import time
-
-    from repro.loadgen import run_loadgen
-    from repro.loadgen.replay import script_from_transcript
-    from repro.runtime import ENGINES
-    from repro.runtime.remote import HiddenComponentServer
-    from repro.runtime.server import Tenant
-
-    engines = list(engines) if engines else list(ENGINES)
-    runs = runs if runs is not None else TABLE5_RUNS
-    picked = []
-    for run in runs:  # first driver invocation of each benchmark
-        if all(p.benchmark != run.benchmark for p in picked):
-            picked.append(run)
-
-    # part 1: bit-identity of cache on vs off, corpus x engine
-    divergences = 0
-    equivalence = {}
-    scripts = {}
-    for run in picked:
-        sp = split_corpus(run.benchmark, scale)
-        cells = equivalence.setdefault(run.benchmark, {})
-        for engine in engines:
-            off = run_split(sp, args=(run.n, run.m),
-                            latency=LatencyModel.instant(), engine=engine)
-            on = run_split(sp, args=(run.n, run.m),
-                           latency=LatencyModel.instant(), engine=engine,
-                           cache=True)
-            identical = _observable_tuple(off) == _observable_tuple(on)
-            cells[engine] = {"identical": identical,
-                             "interactions": off.interactions}
-            if not identical:
-                divergences += 1
-            if engine == DEFAULT_ENGINE:
-                scripts[run.benchmark] = script_from_transcript(
-                    off.channel.transcript)
-
-    # part 2: repeat-heavy replay against a caching vs a plain daemon
-    def replay(cache_on):
-        tenants = [
-            Tenant.from_program(run.benchmark,
-                                split_corpus(run.benchmark, scale))
-            for run in picked
-        ]
-        server = HiddenComponentServer(tenants=tenants, cache=cache_on)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        reports = {}
-        wall0, cpu0 = time.perf_counter(), time.process_time()
-        try:
-            # sequential fleets: the CPU delta should reflect caching,
-            # not cross-tenant scheduling noise
-            for run in picked:
-                reports[run.benchmark] = run_loadgen(
-                    server.address, scripts[run.benchmark], clients=clients,
-                    iterations=iterations, program=run.benchmark,
-                    cache=cache_on)
-            wall = time.perf_counter() - wall0
-            cpu = time.process_time() - cpu0
-            # session teardown (which folds per-session cache stats into
-            # server.cache_stats) runs on the daemon's session threads;
-            # give the folds a moment to settle
-            def total():
-                return sum(sum(s.values())
-                           for s in server.cache_stats.values())
-            deadline = time.perf_counter() + 2.0
-            last = -1
-            while time.perf_counter() < deadline and total() != last:
-                last = total()
-                time.sleep(0.05)
-        finally:
-            server.shutdown()
-            thread.join(timeout=2.0)
-        return reports, dict(server.cache_stats), wall, cpu
-
-    reports_off, _stats_off, wall_off, cpu_off = replay(False)
-    reports_on, stats_on, wall_on, cpu_on = replay(True)
-
-    table = Table(
-        "Fragment result cache: %d clients x %d iterations per corpus"
-        % (clients, iterations),
-        ["Tenant", "Calls", "Hits", "Hit rate", "Execs off", "Execs on",
-         "Saved"],
-    )
-    tenants_data = {}
-    for run in picked:
-        name = run.benchmark
-        stats = stats_on.get(name, {})
-        hits = stats.get("hits", 0)
-        misses = stats.get("misses", 0)
-        probes = hits + misses
-        calls_off = reports_off[name]["op_counts"].get("call", 0)
-        calls_on = reports_on[name]["op_counts"].get("call", 0)
-        execs_on = calls_on - hits
-        hit_rate = hits / probes if probes else 0.0
-        tenants_data[name] = {
-            "calls": calls_on,
-            "hits": hits,
-            "misses": misses,
-            "evictions": stats.get("evictions", 0),
-            "invalidations": stats.get("invalidations", 0),
-            "hit_rate": round(hit_rate, 4),
-            "fragment_executions": {"off": calls_off, "on": execs_on},
-            "errors": {
-                "off": sum(reports_off[name]["errors"].values()),
-                "on": sum(reports_on[name]["errors"].values()),
-            },
-            "latency_ms": {
-                "off": reports_off[name]["latency_ms"],
-                "on": reports_on[name]["latency_ms"],
-            },
-        }
-        table.add_row(
-            name, calls_on, hits, "%.0f%%" % (100.0 * hit_rate),
-            calls_off, execs_on, calls_off - execs_on,
-        )
-    data = {
-        "scale": scale,
-        "clients": clients,
-        "iterations": iterations,
-        "engines": engines,
-        "divergences": divergences,
-        "equivalence": equivalence,
-        "tenants": tenants_data,
-        "totals": {
-            "wall_s": {"off": round(wall_off, 4), "on": round(wall_on, 4)},
-            "cpu_s": {"off": round(cpu_off, 4), "on": round(cpu_on, 4)},
-        },
-    }
-    if output:
-        with open(output, "w") as f:
-            json.dump(data, f, indent=2, sort_keys=True)
-            f.write("\n")
-    return ExperimentResult("cache", data, table)
-
-
-# -- Continuous profiling over the corpora ------------------------------------
-
-
-def run_profile_experiment(scale=0.3, interval_ms=1.0, min_duration_s=1.2,
-                           engines=None, output=None, runs=None):
-    """Sample every Table 5 corpus per engine and attribute the time.
-
-    Each cell runs the split corpus under the stack sampler
-    (:mod:`repro.obs.profile`), repeating the run until ``min_duration_s``
-    of wall time was sampled, and records how much of it the frame-tag
-    registry could attribute to ``(fn/fragment, engine, side)`` rows plus
-    the codegen deopt attribution.  ``output`` writes the machine-readable
-    document (``BENCH_profile.json``, gated by ``tools/check_profile.py``:
-    >=95% attribution everywhere, zero codegen deopts).
-    """
-    import json
-
-    from repro.obs import profile as profmod
-    from repro.obs.events import FlightRecorder
-    from repro.runtime import ENGINES
-
-    engines = list(engines) if engines else list(ENGINES)
-    runs = runs if runs is not None else TABLE5_RUNS
-    picked = []
-    for run in runs:  # first driver invocation of each benchmark
-        if all(p.benchmark != run.benchmark for p in picked):
-            picked.append(run)
-    table = Table(
-        "Continuous profiling: sample attribution per corpus and engine",
-        ["Benchmark", "Engine", "Samples", "Attributed", "Hottest (self)",
-         "Deopts"],
-    )
-    corpora = {}
-    for run in picked:
-        sp = split_corpus(run.benchmark, scale)
-        cells = corpora.setdefault(run.benchmark, {})
-        for engine in engines:
-            recorder = FlightRecorder()
-            runs_done = 0
-            with obs.telemetry(recorder=recorder) as (registry, _tracer):
-                sampler = profmod.StackSampler(
-                    interval_s=interval_ms / 1000.0)
-                with sampler:
-                    while True:
-                        run_split(sp, args=(run.n, run.m),
-                                  latency=LatencyModel.instant(),
-                                  engine=engine)
-                        runs_done += 1
-                        if sampler.elapsed_s() >= min_duration_s:
-                            break
-                deopts = profmod.deopt_report(registry, recorder)
-            prof = sampler.result
-            doc = prof.to_dict()
-            cells[engine] = {
-                "samples": doc["samples"],
-                "attributed": doc["attributed"],
-                "attributed_pct": doc["attributed_pct"],
-                "duration_s": doc["duration_s"],
-                "runs": runs_done,
-                "top": doc["rows"][:5],
-                "deopts": deopts,
-            }
-            hottest = doc["rows"][0] if doc["rows"] else None
-            table.add_row(
-                run.benchmark, engine, doc["samples"],
-                "%.1f%%" % doc["attributed_pct"],
-                "%s (%s, %.0f%%)" % (
-                    hottest["fn"], hottest["side"], hottest["self_pct"]
-                ) if hottest else "-",
-                deopts["total"],
-            )
-    data = {
-        "scale": scale,
-        "interval_ms": interval_ms,
-        "min_duration_s": min_duration_s,
-        "engines": engines,
-        "corpora": corpora,
-    }
-    if output:
-        with open(output, "w") as f:
-            json.dump(data, f, indent=2, sort_keys=True)
-            f.write("\n")
-    return ExperimentResult("profile", data, table)
 
 
 # -- Figures -----------------------------------------------------------------

@@ -47,6 +47,11 @@ from repro.runtime.values import RuntimeErr
 #: protocol revision announced in the server handshake (docs/PROTOCOL.md)
 PROTOCOL_VERSION = 3
 
+#: what a parseable frame of the wrong shape raises in the session
+#: dispatcher; the session answers it like a malformed frame
+_FRAME_ERRORS = (LookupError, TypeError, AttributeError, ValueError,
+                 RecursionError)
+
 #: exported metric names (documented in docs/OBSERVABILITY.md)
 M_CLIENTS = "repro_remote_clients"
 M_SESSIONS = "repro_remote_sessions_total"
@@ -112,7 +117,7 @@ def _readline(rfile):
 def _parse_frame(line):
     try:
         return json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise ChannelProtocolError("malformed frame: %s" % exc)
 
 
@@ -324,8 +329,7 @@ class HiddenComponentServer:
             return quota
 
     def _fold_cache_stats(self, program, cache):
-        """Accumulate a finished session's cache counters per tenant (the
-        ``repro.bench`` cache experiment reads these)."""
+        """Accumulate a finished session's cache counters per tenant."""
         stats = cache.stats()
         with self._cache_lock:
             agg = self.cache_stats.setdefault(
@@ -411,7 +415,8 @@ class HiddenComponentServer:
         if self._metrics is not None:
             self._metrics.counter(
                 M_SESSION_ERRORS,
-                help="sessions ended by transport errors or timeouts",
+                help="sessions ended by transport errors, timeouts or "
+                "protocol errors",
                 reason=reason,
             ).inc()
 
@@ -465,6 +470,7 @@ class _ClientSession:
     def run(self):
         server = self.server
         conn = self.conn
+        wfile = None
         try:
             if server.idle_timeout_s is not None:
                 conn.settimeout(server.idle_timeout_s)
@@ -476,11 +482,18 @@ class _ClientSession:
             self._loop(rfile, wfile)
         except ChannelTimeout:
             server._count_session_error("idle_timeout")
+        except ChannelProtocolError as exc:
+            self._refuse(wfile, exc)
         except (RuntimeErr, OSError):
             # a client that vanishes mid-handshake or mid-frame is a
             # session error, not a daemon failure: the accept loop and
             # every other session keep going
             server._count_session_error("disconnect")
+        except _FRAME_ERRORS as exc:
+            # a parseable frame of the wrong shape (a missing key, a value
+            # of the wrong type) tripped the dispatcher
+            self._refuse(wfile, "malformed frame: %s: %s"
+                         % (type(exc).__name__, exc))
         finally:
             if self.inner is not None and self.inner.cache is not None:
                 server._fold_cache_stats(self.tenant.name, self.inner.cache)
@@ -493,6 +506,13 @@ class _ClientSession:
             with contextlib.suppress(OSError):
                 conn.close()
             server._session_done(self)
+
+    def _refuse(self, wfile, reason):
+        """End the session on a frame that is not valid protocol: answer
+        with an error frame if the peer still reads, and count it."""
+        self.server._count_session_error("protocol")
+        with contextlib.suppress(OSError):
+            _send(wfile, {"error": "protocol error: %s" % reason})
 
     def request_drain(self):
         """Release the session if it is idle (blocked reading the next
@@ -524,11 +544,16 @@ class _ClientSession:
         recorder = server._recorder
         while True:
             try:
-                msg = _recv(rfile)
+                line = _readline(rfile)
             except RuntimeErr:
                 if server._draining.is_set():
                     return  # the drain released this blocked read
                 raise
+            if not line.endswith(b"\n"):
+                raise ChannelError("connection closed mid-frame")
+            msg = _parse_frame(line)
+            if not isinstance(msg, dict):
+                raise ChannelProtocolError("frame is not a JSON object")
             with self._lock:
                 if server._draining.is_set():
                     # a frame racing the drain: refuse it — the daemon

@@ -144,18 +144,3 @@ def test_attack_experiment_correlates_with_complexity():
     assert CType.LINEAR in broken_types
     assert CType.ARBITRARY in resisted_types
 
-
-def test_rt_attribution_over_the_wire():
-    from repro.bench.experiments import run_rt_attribution
-
-    # one corpus keeps the TCP round trips cheap; the full sweep is the
-    # `python -m repro.bench rtattr` experiment
-    result = run_rt_attribution(scale=SCALE, runs=[TABLE5_RUNS[8]])
-    assert set(result.data) == {"jasmin"}
-    overall = result.data["jasmin"]["overall"]
-    assert overall["round_trips"] > 0
-    # the acceptance bar: the four phases explain the measured wall time
-    assert overall["coverage_pct"] == pytest.approx(100.0, abs=0.5)
-    rendered = result.render()
-    assert "Round-trip latency attribution over the wire" in rendered
-    assert "Explained" in rendered

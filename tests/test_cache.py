@@ -1,6 +1,6 @@
 """The Hf-side fragment result cache (docs/CACHING.md).
 
-Four layers of coverage:
+Five layers of coverage:
 
 * the purity pass: which fragments the splitter may memoize, and why
   the rest are blocked (open memory, hidden-store writes, impure
@@ -16,16 +16,25 @@ Four layers of coverage:
 * the batched-prefetch error path: a short ``fetch_batch`` reply or an
   abort mid-prefetch must not leave a partially populated batch cache
   behind (regression for the silent-partial-population bug).
+* the payoff: a repeat-heavy replay of the Table 5 corpora against a
+  caching daemon hits at least half its probes per tenant and saves
+  server fragment executions.
 """
+
+import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro import obs
+from repro.bench.experiments import split_corpus
 from repro.core.globals import hide_global
 from repro.core.program import split_program
 from repro.core.purity import classify_fragment
 from repro.lang import check_program, parse_program
+from repro.loadgen import run_loadgen
+from repro.loadgen.replay import script_from_transcript
 from repro.runtime.cache import (
     CacheEntry,
     CacheQuota,
@@ -34,9 +43,11 @@ from repro.runtime.cache import (
 )
 from repro.runtime.channel import Channel, LatencyModel
 from repro.runtime.interpreter import Interpreter, M_STMTS, OpenAccess
-from repro.runtime.server import HiddenServer
+from repro.runtime.remote import HiddenComponentServer
+from repro.runtime.server import HiddenServer, Tenant
 from repro.runtime.splitrun import run_original, run_split
 from repro.runtime.values import RuntimeErr
+from repro.workloads.inputs import TABLE5_RUNS
 
 #: a hidden global with one pure reader and one writer — ``peek``'s get
 #: fragment is cacheable (epoch-keyed), ``poke``'s stmts fragment writes
@@ -479,3 +490,59 @@ def test_no_partial_traffic_before_arity_check(monkeypatch):
         channel.flush_deferred()
     kinds = [e.kind for e in channel.transcript.events]
     assert "cb_batch" not in kinds
+
+
+# -- the payoff over the Table 5 corpora ---------------------------------------
+
+
+def _replay_corpora(scripts, cache, clients=2, iterations=4):
+    """Replay each corpus's session shape against one daemon serving all
+    of them; returns the per-tenant loadgen reports and the daemon's
+    per-tenant cache counters."""
+    tenants = [Tenant.from_program(name, split_corpus(name, 0.06))
+               for name in scripts]
+    server = HiddenComponentServer(tenants=tenants, cache=cache)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        reports = {
+            name: run_loadgen(server.address, script, clients=clients,
+                              iterations=iterations, program=name,
+                              cache=cache)
+            for name, script in scripts.items()
+        }
+        # sessions fold their cache counters into cache_stats as they end
+        deadline = time.monotonic() + 5.0
+        while server.live_sessions() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert server.live_sessions() == 0
+    finally:
+        server.shutdown()
+        thread.join(timeout=2.0)
+    return reports, server.cache_stats
+
+
+def test_repeat_heavy_replay_is_worth_caching():
+    """Each client iterates its corpus's session over one warm session
+    cache: every tenant hits at least half its probes, the cache saves
+    server fragment executions on at least 3 of the 4 corpora, and no
+    client op fails with the cache on or off."""
+    scripts = {}
+    for run in TABLE5_RUNS:  # the first Table 5 row of each corpus
+        if run.benchmark not in scripts:
+            sp = split_corpus(run.benchmark, 0.06)
+            scripts[run.benchmark] = script_from_transcript(
+                run_split(sp, args=(run.n, run.m)).channel.transcript)
+    reports_off, _ = _replay_corpora(scripts, cache=False)
+    reports_on, stats = _replay_corpora(scripts, cache=True)
+    improved = 0
+    for name in scripts:
+        for reports in (reports_off, reports_on):
+            assert reports[name]["errors"] == {
+                "protocol": 0, "reply": 0, "skipped_ops": 0}, name
+        hits, misses = stats[name]["hits"], stats[name]["misses"]
+        assert hits >= 0.5 * (hits + misses), (name, stats[name])
+        execs_off = reports_off[name]["op_counts"]["call"]
+        execs_on = reports_on[name]["op_counts"]["call"] - hits
+        improved += execs_on < execs_off
+    assert improved >= 3

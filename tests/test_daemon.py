@@ -22,6 +22,8 @@ import pytest
 from repro import obs
 from repro.core.program import split_program
 from repro.lang import check_program, parse_program
+from repro.runtime.channel import Channel, LatencyModel
+from repro.runtime.interpreter import Interpreter
 from repro.runtime.remote import (
     M_CLIENTS,
     M_REJECTED,
@@ -31,13 +33,14 @@ from repro.runtime.remote import (
     ChannelError,
     ChannelProtocolError,
     HiddenComponentServer,
+    RemoteHiddenRuntime,
     _recv,
     _send,
     remote_server,
     run_split_remote,
 )
 from repro.runtime.server import Tenant
-from repro.runtime.splitrun import run_original, run_split
+from repro.runtime.splitrun import RunResult, run_original, run_split
 
 ALPHA = """
 func int f(int x) {
@@ -288,6 +291,94 @@ def test_shutdown_op_closes_without_reply():
                 _recv(rfile)
         finally:
             _hangup(sock)
+
+
+# -- malformed frames --------------------------------------------------------
+
+#: parseable or not, none of these is a protocol frame; each used to kill
+#: its session thread with an uncaught exception and no reply
+BAD_FRAMES = {
+    "non-object": b'"x"\n',
+    "missing-key": b'{"op": "open"}\n',
+    "deep-nesting": b"[" * 100_000 + b"\n",
+}
+
+
+class _PausingChannel(Channel):
+    """Holds the client after its ``at``-th round trip until released, so
+    a well-behaved session is provably mid-run, with live hidden state,
+    while another session misbehaves."""
+
+    def __init__(self, at):
+        super().__init__(LatencyModel.instant(), record=True)
+        self.at = at
+        self.paused = threading.Event()
+        self.release = threading.Event()
+
+    def round_trip(self, *args, **kwargs):
+        result = super().round_trip(*args, **kwargs)
+        if self.interactions == self.at:
+            self.paused.set()
+            self.release.wait(10.0)
+        return result
+
+
+def _observed(result):
+    """Everything a remote run exposes: value, output, steps, and the
+    full channel transcript."""
+    events = [(e.seq, e.kind, e.hid, e.fn_name, e.label, e.sent, e.result)
+              for e in result.channel.transcript.events]
+    return (result.value, result.output, result.steps_open,
+            result.interactions, events)
+
+
+@pytest.mark.parametrize("frame", sorted(BAD_FRAMES))
+def test_malformed_frame_is_refused_counted_and_isolated(frame, monkeypatch):
+    uncaught = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
+    prog, sp = make(ALPHA)
+    with obs.telemetry() as (registry, _tracer):
+        with remote_server(sp) as address:
+            oracle = _observed(run_split_remote(sp, address, args=(4,)))
+            channel = _PausingChannel(at=2)
+            runs = []
+
+            def well_behaved():
+                runtime = RemoteHiddenRuntime(address, channel=channel)
+                try:
+                    interp = Interpreter(sp.program, hidden_runtime=runtime)
+                    value = interp.run("main", (4,))
+                    runs.append(RunResult(value, interp.output, interp.steps,
+                                          0, channel))
+                finally:
+                    runtime.close()
+
+            good = threading.Thread(target=well_behaved)
+            good.start()
+            try:
+                assert channel.paused.wait(5.0)
+                sock, rfile, wfile = _wire(address)
+                try:
+                    _recv(rfile)  # handshake
+                    wfile.write(BAD_FRAMES[frame])
+                    wfile.flush()
+                    reply = _recv(rfile)
+                    with pytest.raises(ChannelError, match="closed"):
+                        _recv(rfile)  # refused, then hung up on
+                finally:
+                    _hangup(sock)
+            finally:
+                channel.release.set()
+                good.join(timeout=10.0)
+            assert _poll(lambda: registry.counter(
+                M_SESSION_ERRORS, reason="protocol").value == 1)
+            assert registry.counter(
+                M_SESSION_ERRORS, reason="disconnect").value == 0
+    assert reply["error"].startswith("protocol error: ")
+    assert uncaught == []
+    # the concurrent session never noticed
+    assert len(runs) == 1 and _observed(runs[0]) == oracle
+    assert runs[0].output == run_original(prog, args=(4,)).output
 
 
 # -- drain -------------------------------------------------------------------

@@ -38,3 +38,26 @@ def test_checker_flags_stale_metric(tmp_path):
         doc, doc.read_text(), {"repro_channel_round_trips_total"}, errors
     )
     assert len(errors) == 1 and "repro_totally_made_up_total" in errors[0]
+
+
+def test_checker_flags_missing_files_and_experiments(tmp_path):
+    doc = tmp_path / "X.md"
+    doc.write_text(
+        "gated by `tools/check_docs.py` and `tools/check_gone.py`; see\n"
+        "[old](../BENCH_gone.json) and benchmarks/bench_gone.py\n"
+        "    python -m repro.bench table5 nosuch --scale 0.1\n"
+        "    python perfbench/smoke.py\n"
+    )
+    errors = []
+    check_docs.check_paths(doc, doc.read_text(), {"table5"}, errors)
+    assert len(errors) == 4, errors
+    for name in ("tools/check_gone.py", "BENCH_gone.json",
+                 "benchmarks/bench_gone.py", "repro.bench nosuch"):
+        assert any(name in e for e in errors), (name, errors)
+
+
+def test_checker_sees_this_repos_experiments():
+    experiments = check_docs.defined_bench_experiments()
+    assert {"table1", "table5", "fig2", "attack"} <= experiments
+    assert "rtattr" not in experiments
+

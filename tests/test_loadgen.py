@@ -3,10 +3,12 @@ against a live multi-tenant daemon (docs/OPERATIONS.md)."""
 
 import io
 import json
+import threading
 
 import pytest
 
 from repro import obs
+from repro.bench.experiments import split_corpus
 from repro.cli import main as cli_main
 from repro.core.program import split_program
 from repro.lang import check_program, parse_program
@@ -21,6 +23,7 @@ from repro.loadgen.replay import (
 from repro.runtime.remote import M_SESSIONS, remote_server
 from repro.runtime.server import Tenant
 from repro.runtime.splitrun import run_split
+from repro.workloads.inputs import TABLE5_RUNS
 
 SOURCE = """
 func int f(int x) {
@@ -131,6 +134,38 @@ def test_run_loadgen_against_two_tenant_daemon():
         # per-tenant accounting stays disjoint
         assert registry.counter(M_SESSIONS, program="alpha").value == 4
         assert registry.counter(M_SESSIONS, program="beta").value == 3
+
+
+def test_four_tenant_fleet_has_no_protocol_errors():
+    """Every Table 5 corpus as a tenant of one daemon, with an 8-client
+    fleet offered to all four at once: every scripted op is answered."""
+    picked = {}
+    for run in TABLE5_RUNS:  # the first Table 5 row of each corpus
+        picked.setdefault(run.benchmark, run)
+    tenants, scripts = [], {}
+    for name, run in picked.items():
+        sp = split_corpus(name, 0.06)
+        tenants.append(Tenant.from_program(name, sp))
+        scripts[name] = script_from_transcript(
+            run_split(sp, args=(run.n, run.m)).channel.transcript)
+    reports = {}
+    with remote_server(tenants=tenants) as address:
+        def fleet(name):
+            reports[name] = run_loadgen(address, scripts[name], clients=2,
+                                        program=name)
+        threads = [threading.Thread(target=fleet, args=(name,))
+                   for name in picked]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    assert sorted(reports) == sorted(picked) and len(reports) == 4
+    assert sum(r["clients"] for r in reports.values()) == 8
+    for name, report in reports.items():
+        assert report["errors"] == {"protocol": 0, "reply": 0,
+                                    "skipped_ops": 0}, name
+        assert report["ops"] == 2 * len(scripts[name])
+        assert report["latency_ms"]["p95"] > 0
 
 
 def test_run_loadgen_codegen_engine_smoke():

@@ -11,6 +11,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.core.pipeline import auto_split
 from repro.core.program import split_program
 from repro.lang import check_program, parse_program
 from repro.obs import traceview
@@ -22,6 +23,8 @@ from repro.runtime.remote import (
     remote_server,
     run_split_remote,
 )
+from repro.workloads.corpora import build_corpus
+from repro.workloads.inputs import TABLE5_RUNS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -123,18 +126,22 @@ def test_untraced_run_keeps_golden_channel_keys():
         assert set(event) == golden  # no trace_id/cseq/phase fields leak in
 
 
+def _accounting(result):
+    """Everything telemetry and tracing must leave unchanged."""
+    return (result.value, result.output, result.steps_open,
+            result.interactions,
+            [e.kind for e in result.channel.transcript.events])
+
+
 def test_traced_accounting_identical_to_untraced():
+    # telemetry off, flight recorder on, recorder on plus tracing
     sp = _split()
     with remote_server(sp) as address:
         plain = run_split_remote(sp, address, args=(4, 4))
-        traced = run_split_remote(sp, address, args=(4, 4), trace=True)
-    assert traced.value == plain.value
-    assert traced.output == plain.output
-    assert traced.interactions == plain.interactions
-    assert (
-        [e.kind for e in traced.channel.transcript.events]
-        == [e.kind for e in plain.channel.transcript.events]
-    )
+        with obs.telemetry(recorder=FlightRecorder(process="Of")):
+            recorded = run_split_remote(sp, address, args=(4, 4))
+            traced = run_split_remote(sp, address, args=(4, 4), trace=True)
+    assert _accounting(plain) == _accounting(recorded) == _accounting(traced)
 
 
 def test_trace_id_fixed_across_connect_retries():
@@ -419,6 +426,20 @@ def test_render_attribution_text():
     unaligned = traceview.render_attribution(traceview.attribution(
         _client_fixture()[1:]))
     assert "unaligned" in unaligned
+
+
+def test_rt_attribution_over_the_wire():
+    """A real TCP run of the jasmin Table 5 row: the four phases explain
+    the measured wall time of its round trips."""
+    run = next(r for r in TABLE5_RUNS if r.benchmark == "jasmin")
+    corpus = build_corpus("jasmin", scale=0.06)
+    sp = auto_split(corpus.program, corpus.checker)
+    _result, events = _traced_run(sp, args=(run.n, run.m))
+    report = traceview.attribution(events)
+    overall = report["overall"]
+    assert overall["round_trips"] > 0
+    assert overall["coverage_pct"] == pytest.approx(100.0, abs=0.5)
+    assert "phases explain" in traceview.render_attribution(report)
 
 
 def test_committed_example_traces_are_consistent():

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation hygiene checks, run by the CI docs job.
 
-Two failure modes that rot silently:
+Failure modes that rot silently:
 
 1. **Dead relative links** — ``[text](OTHER.md)`` in ``docs/*.md`` (and
    the top-level ``*.md``) pointing at files that do not exist, including
@@ -16,6 +16,11 @@ Two failure modes that rot silently:
    ``repro <sub>`` subcommand no ``add_parser`` registers; any
    ``--engine X`` choice shown in a doc that the engine registry
    (``ENGINES`` in ``src/repro/runtime/__init__.py``) does not list.
+4. **Dead file references** — ``docs/*.md``, README.md, DESIGN.md or
+   EXPERIMENTS.md naming a script under ``tools/``, ``benchmarks/`` or
+   ``perfbench/`` or a ``BENCH_*.json`` result file that does not exist,
+   or invoking a ``python -m repro.bench`` experiment the runner table
+   in ``src/repro/bench/__main__.py`` does not define.
 
 Exit status 0 when clean, 1 with a findings listing otherwise.  No
 dependencies beyond the standard library, so it runs anywhere::
@@ -57,6 +62,18 @@ _SUBCOMMAND_DEF = re.compile(r'add_parser\(\s*\n?\s*"([a-z][a-z0-9-]+)"')
 _ENGINE_USE = re.compile(r"--engine[ =]([a-z]+)")
 #: the engine registry tuple in runtime/__init__.py
 _ENGINE_DEF = re.compile(r"^ENGINES\s*=\s*\(([^)]*)\)", re.MULTILINE)
+#: repo files docs name: scripts and committed result files, bare,
+#: backticked or linked (a leading ../ is dropped)
+_PATH_USE = re.compile(
+    r"(?<![\w/.-])(?:\.\./)*((?:tools|benchmarks|perfbench)/[\w.-]+\.py"
+    r"|BENCH_\w+\.json)")
+#: experiment names in ``python -m repro.bench NAME...`` invocations
+_BENCH_USE = re.compile(r"python -m repro\.bench((?: [a-z][a-z0-9]*)+)")
+#: the runner table keys in bench/__main__.py
+_BENCH_DEF = re.compile(r'^\s+"([a-z][a-z0-9]*)":\s', re.MULTILINE)
+#: top-level docs that describe the repo as it is; the others record
+#: history, plans or outside work and may name files that are gone
+_CURRENT_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 
 
 def _rel(path):
@@ -133,6 +150,27 @@ def defined_engines():
     return set(re.findall(r'"([a-z]+)"', match.group(1)))
 
 
+def defined_bench_experiments():
+    source = (REPO / "src/repro/bench/__main__.py").read_text(encoding="utf-8")
+    return set(_BENCH_DEF.findall(source))
+
+
+def check_paths(path, text, experiments, errors):
+    """Every script or result file a doc names must exist, and every
+    ``python -m repro.bench`` experiment it invokes must be defined."""
+    for target in sorted(set(_PATH_USE.findall(text))):
+        if not (REPO / target).exists():
+            errors.append("%s: names a missing file %s" % (_rel(path), target))
+    used = set()
+    for names in _BENCH_USE.findall(text):
+        used.update(names.split())
+    for name in sorted(used - experiments):
+        errors.append(
+            "%s: unknown experiment 'python -m repro.bench %s' (not in the "
+            "repro.bench runner table)" % (_rel(path), name)
+        )
+
+
 def check_engines(path, text, engines, errors):
     """Every ``--engine X`` a doc shows must name a registered engine."""
     for name in sorted(set(_ENGINE_USE.findall(text))):
@@ -189,9 +227,11 @@ def main():
     flags = defined_flags()
     subcommands = defined_subcommands()
     engines = defined_engines()
-    if not routes or not flags or not subcommands or not engines:
-        print("check_docs: found no routes/flags/subcommands/engines in "
-              "src/ — the definition regexes are broken", file=sys.stderr)
+    experiments = defined_bench_experiments()
+    if not (routes and flags and subcommands and engines and experiments):
+        print("check_docs: found no routes/flags/subcommands/engines/"
+              "experiments in src/ — the definition regexes are broken",
+              file=sys.stderr)
         return 1
     errors = []
     for path in doc_files():
@@ -199,6 +239,8 @@ def main():
         check_links(path, text, errors)
         check_metrics(path, text, known, errors)
         check_engines(path, text, engines, errors)
+        if path.parent.name == "docs" or path.name in _CURRENT_DOCS:
+            check_paths(path, text, experiments, errors)
         if path.name != "ROADMAP.md":  # the roadmap names future surface
             check_subcommands(path, text, subcommands, errors)
         if path.name in ("OBSERVABILITY.md", "OPERATIONS.md", "CACHING.md"):
