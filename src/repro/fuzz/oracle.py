@@ -9,8 +9,9 @@ only in execution strategy must also agree on the fine-grained accounting:
 * ``original-compiled`` — same step count as the reference;
 * ``split-ast`` vs ``split-compiled`` and ``split-codegen`` vs
   ``split-compiled`` (and their ``-batch`` variants) — identical
-  open/hidden step counts, round-trip counts, and transcript event-kind
-  sequences (the engines are documented bit-identical, docs/ENGINE.md);
+  open/hidden step counts, round-trip counts, and transcripts (every
+  event's kind, fragment, values, result and cost; the engines are
+  documented bit-identical, docs/ENGINE.md);
 * ``socket-*`` — the real TCP transport must carry exactly the traffic
   the simulated channel accounts for (plus the one ``hello`` handshake
   round trip when batching is on, docs/PROTOCOL.md);
@@ -22,9 +23,14 @@ only in execution strategy must also agree on the fine-grained accounting:
 * ``split-cache`` / ``split-cache-codegen`` / ``socket-cache`` — the
   fragment result cache on (``--cache on``, docs/CACHING.md): hits must
   be bit-identical to real executions, so the cache cells are held to
-  the engine-equivalence bar (steps *and* transcript kinds) against
+  the engine-equivalence bar (steps *and* transcripts) against
   their uncached counterparts, and the socket cell's cache hello is
-  uncounted like the trace hello.
+  uncounted like the trace hello;
+* ``split-compiled-telemetry`` — ``split-compiled`` with metrics and the
+  flight recorder on: instrumentation must not perturb what it observes,
+  so it is held to the same bar against ``split-compiled``, and the
+  registry's round-trip counter, the transcript length and the
+  recorder's ``channel`` event count must all agree.
 
 A program whose automatic selection finds nothing to split (or where an
 explicit choice raises ``SplitError``) skips the split configurations —
@@ -32,14 +38,12 @@ that is a selection outcome, not a divergence.
 """
 
 from repro import obs
+# exported metric names (documented in docs/OBSERVABILITY.md)
+from repro.obs.metrics import M_DIVERGENCES, M_PROGRAMS, M_ROUND_TRIPS
 from repro.core.pipeline import split_source
 from repro.core.splitter import SplitError
 from repro.runtime.channel import LatencyModel
 from repro.runtime.splitrun import run_original, run_split, _values_differ
-
-#: exported metric names (documented in docs/OBSERVABILITY.md)
-M_PROGRAMS = "repro_fuzz_programs_total"
-M_DIVERGENCES = "repro_fuzz_divergences_total"
 
 #: the reference configuration every other one is diffed against
 BASELINE = "original-ast"
@@ -53,10 +57,10 @@ class Config:
     """One cell of the execution matrix."""
 
     __slots__ = ("name", "split", "engine", "batching", "socket", "trace",
-                 "cache")
+                 "cache", "telemetry")
 
     def __init__(self, name, split, engine, batching=False, socket=False,
-                 trace=False, cache=False):
+                 trace=False, cache=False, telemetry=False):
         self.name = name
         self.split = split
         self.engine = engine
@@ -64,6 +68,7 @@ class Config:
         self.socket = socket
         self.trace = trace
         self.cache = cache
+        self.telemetry = telemetry
 
     def __repr__(self):
         return "<Config %s>" % self.name
@@ -94,6 +99,8 @@ CONFIGS = (
     Config("split-cache-codegen", split=True, engine="codegen", cache=True),
     Config("socket-cache", split=True, engine="compiled", socket=True,
            cache=True),
+    Config("split-compiled-telemetry", split=True, engine="compiled",
+           telemetry=True),
 )
 
 CONFIG_NAMES = tuple(c.name for c in CONFIGS)
@@ -119,6 +126,7 @@ _TRAFFIC_PAIRS = (
     ("split-cache", "split-compiled", 0),
     ("split-cache-codegen", "split-codegen", 0),
     ("socket-cache", "split-cache", 0),
+    ("split-compiled-telemetry", "split-compiled", 0),
 )
 
 
@@ -141,17 +149,22 @@ class Observation:
     """What one run under one configuration looked like."""
 
     __slots__ = ("value", "output", "steps_open", "steps_hidden",
-                 "interactions", "kinds", "error")
+                 "interactions", "transcript", "error", "telemetry")
 
     def __init__(self, value=None, output=(), steps_open=0, steps_hidden=0,
-                 interactions=0, kinds=(), error=None):
+                 interactions=0, transcript=(), error=None):
         self.value = value
         self.output = list(output)
         self.steps_open = steps_open
         self.steps_hidden = steps_hidden
         self.interactions = interactions
-        self.kinds = tuple(kinds)
+        #: every channel event as ``(kind, hid, fn, label, sent, result,
+        #: cost_ms)``
+        self.transcript = tuple(transcript)
         self.error = error
+        #: ``(registry round trips, recorder channel events)`` for a
+        #: telemetry cell, else None
+        self.telemetry = None
 
 
 class Divergence:
@@ -196,15 +209,31 @@ def _observe(thunk):
         result = thunk()
     except Exception as exc:  # a crash is an observation, not a campaign abort
         return Observation(error="%s: %s" % (type(exc).__name__, exc))
-    kinds = ()
+    events = ()
     interactions = 0
     if result.channel is not None:
         interactions = result.channel.interactions
         transcript = getattr(result.channel, "transcript", None)
         if transcript is not None:
-            kinds = tuple(e.kind for e in transcript.events)
+            events = [
+                (e.kind, e.hid, e.fn_name, e.label, e.sent, e.result,
+                 e.cost_ms)
+                for e in transcript.events
+            ]
     return Observation(result.value, result.output, result.steps_open,
-                       result.steps_hidden, interactions, kinds)
+                       result.steps_hidden, interactions, events)
+
+
+def _observe_with_telemetry(thunk):
+    """:func:`_observe` under a fresh metrics + flight-recorder scope."""
+    from repro.obs.events import FlightRecorder
+
+    recorder = FlightRecorder()
+    with obs.telemetry(recorder=recorder) as (registry, _tracer):
+        observation = _observe(thunk)
+    observation.telemetry = (registry.total(M_ROUND_TRIPS),
+                             len(recorder.by_type("channel")))
+    return observation
 
 
 def _run_config(config, program, sp, address, args, max_steps):
@@ -218,7 +247,8 @@ def _run_config(config, program, sp, address, args, max_steps):
             sp, address, args=args, max_steps=max_steps,
             batching=config.batching, engine=config.engine,
             trace=config.trace, cache=config.cache))
-    return _observe(lambda: run_split(
+    observe = _observe_with_telemetry if config.telemetry else _observe
+    return observe(lambda: run_split(
         sp, args=args, latency=LatencyModel.instant(), max_steps=max_steps,
         batching=config.batching, engine=config.engine, cache=config.cache))
 
@@ -264,7 +294,8 @@ def _diff_accounting(result, present, args):
                      # cache cells: a hit must replay the exact steps and
                      # transcript of the execution it memoized
                      ("split-cache", "split-compiled"),
-                     ("split-cache-codegen", "split-codegen")):
+                     ("split-cache-codegen", "split-codegen"),
+                     ("split-compiled-telemetry", "split-compiled")):
         a, b = (present.get(n) for n in eng_pair)
         if a is None or b is None or a.error or b.error:
             continue
@@ -274,10 +305,26 @@ def _diff_accounting(result, present, args):
                 "open+hidden %d+%d vs %d+%d"
                 % (a.steps_open, a.steps_hidden, b.steps_open,
                    b.steps_hidden), args))
-        if a.kinds != b.kinds:
+        if a.transcript != b.transcript:
+            i = next((i for i, (x, y) in enumerate(zip(a.transcript,
+                                                       b.transcript))
+                      if x != y), min(len(a.transcript), len(b.transcript)))
             found.append(Divergence(
                 eng_pair[0], eng_pair[1], "transcript",
-                "event kinds %r vs %r" % (a.kinds, b.kinds), args))
+                "event %d: %r vs %r"
+                % (i + 1, a.transcript[i:i + 1], b.transcript[i:i + 1]),
+                args))
+    name = "split-compiled-telemetry"
+    cell = present.get(name)
+    if cell is not None and not cell.error:
+        # the three views of the traffic must agree
+        counted, recorded = cell.telemetry
+        if not counted == len(cell.transcript) == recorded:
+            found.append(Divergence(
+                name, name, "telemetry",
+                "%d registry round trips, %d transcript events, %d recorder "
+                "channel events" % (counted, len(cell.transcript), recorded),
+                args))
     for left, right, hello in _TRAFFIC_PAIRS:
         a, b = present.get(left), present.get(right)
         if a is None or b is None or a.error or b.error:
@@ -361,8 +408,7 @@ def run_matrix(source, arg_sets, configs=None, choices=None, hide=None,
             server_ctx.__exit__(None, None, None)
 
     registry = obs.get_registry()
-    if registry.enabled:
-        registry.counter(M_PROGRAMS, help="programs fuzzed").inc()
-        if result.diverged:
-            registry.counter(M_DIVERGENCES, help="diverging programs").inc()
+    registry.metric(M_PROGRAMS).inc()
+    if result.diverged:
+        registry.metric(M_DIVERGENCES).inc()
     return result

@@ -18,13 +18,13 @@ import urllib.request
 from repro import obs
 from repro.loadgen.client import SyntheticClient
 from repro.loadgen.replay import summarize
-from repro.obs.metrics import RT_PHASE_BUCKETS
+# exported metric names (documented in docs/OBSERVABILITY.md)
+from repro.obs.metrics import (
+    M_LOADGEN_ERRORS as M_ERRORS,
+    M_LOADGEN_LATENCY as M_LATENCY,
+    M_LOADGEN_OPS as M_OPS,
+)
 from repro.obs.traceview import _quantile
-
-#: exported metric names (documented in docs/OBSERVABILITY.md)
-M_OPS = "repro_loadgen_ops_total"
-M_ERRORS = "repro_loadgen_errors_total"
-M_LATENCY = "repro_loadgen_op_seconds"
 
 _SLO_PART = re.compile(r"^p(\d{1,2}(?:\.\d+)?)=(\d+(?:\.\d+)?)(ms|s)$")
 
@@ -187,18 +187,11 @@ def _record_metrics(report, latencies):
     if not registry.enabled:
         return
     for kind, n in report["op_counts"].items():
-        registry.counter(
-            M_OPS, help="synthetic client ops answered", kind=kind,
-        ).inc(n)
+        registry.metric(M_OPS, kind=kind).inc(n)
     for reason, n in report["errors"].items():
         if n:
-            registry.counter(
-                M_ERRORS, help="synthetic client failures", reason=reason,
-            ).inc(n)
-    hist = registry.histogram(
-        M_LATENCY, help="synthetic client round-trip seconds",
-        buckets=RT_PHASE_BUCKETS,
-    )
+            registry.metric(M_ERRORS, reason=reason).inc(n)
+    hist = registry.metric(M_LATENCY)
     for v in latencies:
         hist.observe(v)
 

@@ -2,11 +2,11 @@
 
 One process-wide *active* telemetry pair — a metrics
 :class:`~repro.obs.metrics.Registry` and a
-:class:`~repro.obs.tracing.Tracer` — is consulted by the instrumented
-layers (channel, hidden server, interpreter, splitter pipeline) at
-construction time.  It defaults to the null implementations, which keep
-every instrumented hot path allocation-free; callers that want telemetry
-wrap the work in :func:`telemetry`::
+:class:`~repro.obs.tracing.Tracer` — and the
+:class:`~repro.obs.events.TelemetrySink` over them are consulted by the
+instrumented layers at construction time.  With telemetry off the sink is
+``None``, which keeps every instrumented hot path allocation-free;
+callers that want telemetry wrap the work in :func:`telemetry`::
 
     from repro import obs
     from repro.obs import export
@@ -34,16 +34,13 @@ from repro.obs.metrics import (  # noqa: F401 (re-exported)
     NullRegistry,
     Registry,
 )
-from repro.obs.events import (  # noqa: F401 (re-exported)
-    NULL_RECORDER,
-    FlightRecorder,
-    NullRecorder,
-)
+from repro.obs.events import FlightRecorder, TelemetrySink  # noqa: F401
 from repro.obs.tracing import NULL_TRACER, NullTracer, Tracer  # noqa: F401
 
 _registry = NULL_REGISTRY
 _tracer = NULL_TRACER
-_recorder = NULL_RECORDER
+_recorder = None
+_sink = None
 
 
 def get_registry():
@@ -57,13 +54,16 @@ def get_tracer():
 
 
 def get_recorder():
-    """The active flight recorder (the null recorder when disabled).
-
-    Unlike the registry/tracer pair, recording is opt-in *per session*:
-    :func:`install`/:func:`telemetry` leave it disabled unless an explicit
-    :class:`~repro.obs.events.FlightRecorder` is passed (``--log-events``
-    on the CLI)."""
+    """The active flight recorder: ``None`` unless the telemetry scope was
+    given one (``--log-events`` on the CLI)."""
     return _recorder
+
+
+def get_sink():
+    """The active :class:`~repro.obs.events.TelemetrySink`, or ``None``
+    when telemetry is disabled — resolve it once per instrumented object
+    and guard each event with ``is not None``."""
+    return _sink
 
 
 def enabled():
@@ -74,27 +74,19 @@ def install(registry=None, tracer=None, recorder=None):
     """Make telemetry active process-wide; returns ``(registry, tracer)``.
 
     ``recorder`` optionally activates the flight recorder
-    (:mod:`repro.obs.events`) for the same scope; when omitted the null
-    recorder is installed, so event recording never leaks across sessions.
+    (:mod:`repro.obs.events`) for the same scope; when omitted no recorder
+    is active, so event recording never leaks across sessions.
     Prefer the :func:`telemetry` context manager, which restores the
     previous state.
     """
-    global _registry, _tracer, _recorder
+    global _registry, _tracer, _recorder, _sink
     _registry = registry if registry is not None else Registry()
-    _recorder = recorder if recorder is not None else NULL_RECORDER
+    _recorder = recorder
     _tracer = tracer if tracer is not None else Tracer(
-        registry=_registry,
-        recorder=_recorder if _recorder.enabled else None,
+        registry=_registry, recorder=recorder,
     )
+    _sink = TelemetrySink(_registry, _tracer, _recorder)
     return _registry, _tracer
-
-
-def uninstall():
-    """Disable telemetry (back to the null implementations)."""
-    global _registry, _tracer, _recorder
-    _registry = NULL_REGISTRY
-    _tracer = NULL_TRACER
-    _recorder = NULL_RECORDER
 
 
 @contextlib.contextmanager
@@ -102,10 +94,10 @@ def telemetry(registry=None, tracer=None, recorder=None):
     """Scoped telemetry: installs a (fresh by default) registry/tracer pair
     (plus an optional flight recorder) and restores whatever was active
     before, even on error."""
-    global _registry, _tracer, _recorder
-    previous = (_registry, _tracer, _recorder)
+    global _registry, _tracer, _recorder, _sink
+    previous = (_registry, _tracer, _recorder, _sink)
     pair = install(registry, tracer, recorder)
     try:
         yield pair
     finally:
-        _registry, _tracer, _recorder = previous
+        _registry, _tracer, _recorder, _sink = previous

@@ -10,6 +10,11 @@ Section 3 security argument is *about* — the adversary's observation
 stream — so keeping it auditable against the static ``<Type, Inputs,
 Degree>`` estimates is the point (see :mod:`repro.obs.audit`).
 
+The instrumented layers never call the recorder directly: each boundary
+event goes through one method of :class:`TelemetrySink` (below), which
+writes the event here and derives the event's metrics and tracer entry
+alongside it.
+
 The buffer is bounded (a deque of ``max_events``); when it fills, the
 oldest events are evicted and counted in :attr:`FlightRecorder.evicted` so
 long-running ``serve`` processes stay memory-safe.  Sequence numbers keep
@@ -59,14 +64,20 @@ import json
 import threading
 import time
 
+from repro.obs.metrics import (
+    METRICS, M_ACTIVATIONS, M_BATCH_SIZE, M_CACHE_EVICTIONS, M_CACHE_HITS,
+    M_CACHE_INVALIDATIONS, M_CACHE_MISSES, M_CALLS, M_CLIENTS, M_COALESCED,
+    M_COMPILE_SECONDS, M_DEOPT, M_ENGINE, M_EVICTED, M_EXEC_SECONDS,
+    M_FRAGMENT_STEPS, M_OPS, M_PAYLOAD_BYTES, M_REJECTED, M_ROUND_TRIPS,
+    M_RT_PHASE, M_RTT_SIM_MS, M_SESSION_ERRORS, M_SESSIONS, M_SIM_MS,
+    M_STEPS, M_STMTS, M_VALUES,
+)
+
 #: accepted values for ``--log-events-format``
 EVENT_FORMATS = ("jsonl", "chrome")
 
 #: default bound on retained events (~a few tens of MB of dicts at worst)
 DEFAULT_MAX_EVENTS = 100_000
-
-#: exported metric names (documented in docs/OBSERVABILITY.md)
-M_EVICTED = "repro_recorder_evicted_total"
 
 
 class FlightRecorder:
@@ -76,8 +87,6 @@ class FlightRecorder:
     (``repro trace`` labels the client stream "Of" and the server stream
     "Hf"; a standalone recorder defaults to "repro").
     """
-
-    enabled = True
 
     def __init__(self, max_events=DEFAULT_MAX_EVENTS, clock=time.perf_counter,
                  process="repro"):
@@ -136,10 +145,8 @@ class FlightRecorder:
             # must happen at runtime, not import time
             from repro import obs
 
-            counter = self._evicted_counter = obs.get_registry().counter(
-                M_EVICTED,
-                help="flight-recorder events evicted by the bounded buffer",
-            )
+            counter = self._evicted_counter = obs.get_registry().metric(
+                M_EVICTED)
         counter.inc()
 
     def stats(self):
@@ -152,41 +159,6 @@ class FlightRecorder:
             "buffered": len(self.events),
         }
 
-    # -- typed entry points (the instrumented layers call these) -----------
-
-    def channel(self, kind, fn, label, values, payload_bytes, sim_ms, **extra):
-        """One channel round trip — the adversary-observable unit.
-
-        ``extra`` carries the optional traced-run fields (``trace_id``,
-        ``cseq``, phase timings); untraced runs pass nothing, keeping the
-        golden key set."""
-        return self.record(
-            "channel", kind=kind, fn=fn, label=label, values=values,
-            bytes=payload_bytes, sim_ms=sim_ms, **extra,
-        )
-
-    def fragment(self, fn, label, steps, wall_us=0.0):
-        """One hidden fragment execution with its statement count and
-        measured wall time (microseconds)."""
-        return self.record(
-            "fragment", fn=fn, label=label, steps=steps, wall_us=wall_us
-        )
-
-    def span_open(self, name, depth):
-        return self.record("span_open", name=name, depth=depth)
-
-    def span_close(self, name, depth, wall_s, sim_ms):
-        return self.record(
-            "span_close", name=name, depth=depth, wall_s=wall_s, sim_ms=sim_ms
-        )
-
-    def deopt(self, side, fn, reason, where):
-        """One codegen fallback to the closure tier: which function or
-        fragment bailed, the classified reason code, and the MiniJava
-        source location (``file:line`` or ``""`` when unknown)."""
-        return self.record("deopt", side=side, fn=fn, reason=reason,
-                           where=where)
-
     # -- reading ------------------------------------------------------------
 
     def by_type(self, etype):
@@ -196,51 +168,6 @@ class FlightRecorder:
         return len(self.events)
 
 
-class NullRecorder:
-    """Disabled flight recorder: no allocation, no recording."""
-
-    enabled = False
-    events = ()
-    evicted = 0
-    seq = 0
-    max_events = 0
-    process = "repro"
-
-    def now_us(self):
-        return 0.0
-
-    def context(self, **fields):
-        return contextlib.nullcontext()
-
-    def stats(self):
-        return {"max_events": 0, "seq": 0, "evicted": 0, "buffered": 0}
-
-    def record(self, etype, **fields):
-        return None
-
-    def channel(self, kind, fn, label, values, payload_bytes, sim_ms, **extra):
-        return None
-
-    def fragment(self, fn, label, steps, wall_us=0.0):
-        return None
-
-    def span_open(self, name, depth):
-        return None
-
-    def span_close(self, name, depth, wall_s, sim_ms):
-        return None
-
-    def deopt(self, side, fn, reason, where):
-        return None
-
-    def by_type(self, etype):
-        return []
-
-    def __len__(self):
-        return 0
-
-
-NULL_RECORDER = NullRecorder()
 
 
 # -- serialisation -----------------------------------------------------------
@@ -319,3 +246,226 @@ def write_events(path, recorder, format="jsonl"):
         else:
             json.dump(to_chrome(recorder), f, sort_keys=True)
             f.write("\n")
+
+
+# -- the sink ----------------------------------------------------------------
+
+#: the measured phases a traced remote round trip decomposes into, in
+#: order, each with the ``channel`` event field carrying it
+#: (docs/OBSERVABILITY.md, "Distributed tracing & latency attribution")
+PHASE_FIELDS = (("ser_us", "serialize"), ("wire_us", "wire"),
+                ("exec_us", "exec"), ("deser_us", "deser"))
+RT_PHASES = tuple(phase for _field, phase in PHASE_FIELDS)
+
+#: fragment-cache transition -> the counter it bumps
+_CACHE_COUNTERS = {"hit": M_CACHE_HITS, "miss": M_CACHE_MISSES,
+                   "evict": M_CACHE_EVICTIONS,
+                   "invalidate": M_CACHE_INVALIDATIONS}
+
+
+class TelemetrySink:
+    """The one instrumentation path: one method per boundary event.
+
+    :func:`repro.obs.telemetry` creates one sink per scope over its
+    registry, tracer and optional flight recorder; instrumented objects
+    resolve it once at construction (:func:`repro.obs.get_sink`, ``None``
+    with telemetry off, so a disabled hot path costs one ``is not None``
+    check).  Each event method derives every output of its event: the
+    registry samples (declared in :data:`repro.obs.metrics.METRICS`), the
+    tracer summary entry with its simulated-time charge, and the
+    flight-recorder event.  Metric handles are bound on the first event
+    of each label tuple and kept in ``_bound``, so repeated events make
+    no registry lookup.
+    """
+
+    def __init__(self, registry, tracer, recorder=None):
+        self.registry = registry
+        self.tracer = tracer
+        self.recorder = recorder
+        self._bound = {}  # event key -> the metric handle(s) it updates
+
+    def _metric(self, name, *values):
+        """The handle of declared metric ``name`` for the label
+        ``values``, in declaration order."""
+        key = (name,) + values
+        metric = self._bound.get(key)
+        if metric is None:
+            labels = dict(zip(METRICS[name].labels, values))
+            metric = self._bound[key] = self.registry.metric(name, **labels)
+        return metric
+
+    # -- channel -------------------------------------------------------------
+
+    def round_trip(self, kind, fn_name, label, carried, payload, cost_ms,
+                   phases=None, trace=None):
+        """One channel round trip — the adversary-observable unit —
+        carrying ``carried`` scalars in a modelled ``payload``-byte frame."""
+        key = ("round_trip", kind, fn_name, label)
+        handles = self._bound.get(key)
+        if handles is None:
+            fn = fn_name or "-"
+            label_str = "-" if label is None else str(label)
+            handles = self._bound[key] = self._crossing_handles(kind) + (
+                self._metric(M_VALUES, fn, label_str), fn, label_str)
+        values, fn, label_str = handles[4:]
+        values.inc(carried)
+        self._crossing(handles, "channel.round_trip", payload, cost_ms,
+                       phases)
+        if self.recorder is not None:
+            self._channel_event(kind, fn, label_str, carried, payload,
+                                cost_ms, phases, trace)
+
+    def batch(self, pending, carried, payload, cost_ms, phases=None,
+              trace=None):
+        """One flush of the coalesced one-way ``(kind, hid, fn_name,
+        label, sent)`` messages in ``pending``."""
+        handles = self._bound.get("batch")
+        if handles is None:
+            handles = self._bound["batch"] = self._crossing_handles(
+                "batch") + (self._metric(M_BATCH_SIZE),)
+        for kind, _hid, fn_name, label, sent in pending:
+            self._metric(M_COALESCED, kind).inc()
+            if sent:
+                self._metric(M_VALUES, fn_name or "-",
+                             "-" if label is None else str(label),
+                             ).inc(len(sent))
+        handles[4].observe(len(pending))
+        self._crossing(handles, "channel.batch", payload, cost_ms, phases)
+        if self.recorder is not None:
+            self._channel_event("batch", "-", "-", carried, payload, cost_ms,
+                                phases, trace)
+
+    def _crossing_handles(self, kind):
+        return (self._metric(M_ROUND_TRIPS, kind),
+                self._metric(M_PAYLOAD_BYTES, kind),
+                self._metric(M_RTT_SIM_MS), self._metric(M_SIM_MS))
+
+    def _crossing(self, handles, summary_name, payload, cost_ms, phases):
+        round_trips, payloads, rtt, simulated = handles[:4]
+        round_trips.inc()
+        payloads.observe(payload)
+        rtt.observe(cost_ms)
+        simulated.inc(cost_ms)
+        self.tracer.event(summary_name, cost_ms)
+        if phases is not None:
+            for phase in RT_PHASES:
+                self._metric(M_RT_PHASE, phase).observe(phases[phase])
+
+    def _channel_event(self, kind, fn, label, carried, payload, cost_ms,
+                       phases, trace):
+        # a traced remote round trip adds its trace context and measured
+        # phase timings (microseconds); untraced events keep the golden
+        # key set
+        extra = {}
+        if trace is not None:
+            extra["trace_id"], extra["cseq"] = trace
+        if phases is not None:
+            for field, phase in PHASE_FIELDS:
+                extra[field] = round(phases[phase] * 1e6, 1)
+            extra["rt_us"] = round(phases["total"] * 1e6, 1)
+        self.recorder.record(
+            "channel", kind=kind, fn=fn, label=label, values=carried,
+            bytes=payload, sim_ms=cost_ms, **extra,
+        )
+
+    # -- execution -----------------------------------------------------------
+
+    def fragment(self, fn_name, label, steps, stmt_counts, wall_t0):
+        """One hidden fragment execution (or cache replay) of ``steps``
+        statements with the ``stmt_counts`` mix, started at
+        ``time.perf_counter()`` value ``wall_t0``."""
+        key = ("fragment", fn_name, label)
+        handles = self._bound.get(key)
+        if handles is None:
+            label_str = str(label)
+            handles = self._bound[key] = (
+                self._metric(M_CALLS, fn_name, label_str),
+                self._metric(M_FRAGMENT_STEPS, fn_name, label_str),
+                label_str,
+            )
+        calls, fragment_steps, label_str = handles
+        calls.inc()
+        fragment_steps.observe(steps)
+        self.statements("hidden", steps, stmt_counts)
+        if self.recorder is not None:
+            self.recorder.record(
+                "fragment", fn=fn_name, label=label_str, steps=steps,
+                wall_us=round((time.perf_counter() - wall_t0) * 1e6, 1),
+            )
+
+    def statements(self, side, steps, stmt_counts):
+        """``steps`` statements executed on ``side`` (``open``/``hidden``),
+        ``stmt_counts`` mapping AST kind to executions."""
+        self._metric(M_STEPS, side).inc(steps)
+        for kind, count in stmt_counts.items():
+            self._metric(M_STMTS, side, kind).inc(count)
+
+    def activation(self, event):
+        """An ``hopen`` (``open``) or ``hclose`` (``close``)."""
+        self._metric(M_ACTIVATIONS, event).inc()
+
+    def cache(self, event, program, fn, label):
+        """One fragment-cache transition (``hit``/``miss``/``evict``/
+        ``invalidate``, docs/CACHING.md)."""
+        self._metric(_CACHE_COUNTERS[event], program).inc()
+        if self.recorder is not None:
+            self.recorder.record(
+                "cache", event=event, fn=fn,
+                label=str(label) if label is not None else "",
+                program=program,
+            )
+
+    def engine(self, side, engine):
+        """One interpreter/server constructed on ``engine``."""
+        self._metric(M_ENGINE, engine, side).inc()
+
+    def compiled(self, side, engine, seconds):
+        """One function body or fragment lowered by ``engine``."""
+        self._metric(M_COMPILE_SECONDS, side, engine).observe(seconds)
+
+    def deopt(self, side, fn, reason, where):
+        """One codegen fallback to the closure tier, with its reason code
+        and source location (``""`` when unknown)."""
+        self._metric(M_DEOPT, side, reason).inc()
+        if self.recorder is not None:
+            self.recorder.record("deopt", side=side, fn=fn, reason=reason,
+                                 where=where)
+
+    # -- the daemon and its clients -----------------------------------------
+
+    def op_received(self, op, sub=None):
+        """A frame (or, with ``sub``, one coalesced batch sub-op) arriving
+        at a served hidden component."""
+        if self.recorder is not None:
+            if sub is None:
+                self.recorder.record("server_recv", op=op)
+            else:
+                self.recorder.record("server_recv", op=op, sub=sub)
+
+    def op_answered(self, program, op, ok, exec_us):
+        """The reply to one frame leaving the daemon; ``program`` is
+        ``None`` while the session is not bound to a tenant."""
+        if self.recorder is not None:
+            self.recorder.record("server_send", op=op, ok=ok,
+                                 exec_us=exec_us)
+        if program is not None:
+            self._metric(M_OPS, program).inc()
+            self._metric(M_EXEC_SECONDS, program).observe(exec_us / 1e6)
+
+    def session(self, event, value):
+        """A daemon session ``open``/``close`` (``value`` is the program)
+        or ``error``/``rejected`` (``value`` is the reason)."""
+        if event == "open":
+            self._metric(M_SESSIONS, value).inc()
+            self._metric(M_CLIENTS, value).inc()
+        elif event == "close":
+            self._metric(M_CLIENTS, value).dec()
+        elif event == "error":
+            self._metric(M_SESSION_ERRORS, value).inc()
+        else:
+            self._metric(M_REJECTED, value).inc()
+
+    def clock_sync(self, trace_id, sync):
+        """One clock-alignment handshake of a traced client run."""
+        if self.recorder is not None:
+            self.recorder.record("trace_sync", trace_id=trace_id, **sync)

@@ -22,20 +22,11 @@ own ``time.perf_counter`` epoch.  This module lines them up:
 
 import json
 
-from repro.obs.events import chrome_metadata
+from repro.obs.events import PHASE_FIELDS, chrome_metadata
 
 #: process rows in the merged Chrome document
 CLIENT_PID = 1
 SERVER_PID = 2
-
-#: phase field → display name, in round-trip order (matches
-#: ``repro.runtime.channel.RT_PHASES``)
-PHASE_FIELDS = (
-    ("ser_us", "serialize"),
-    ("wire_us", "wire"),
-    ("exec_us", "exec"),
-    ("deser_us", "deser"),
-)
 
 
 def load_events(path):

@@ -39,12 +39,10 @@ import collections
 import threading
 
 from repro import obs
-
-#: exported metric names (documented in docs/OBSERVABILITY.md)
-M_CACHE_HITS = "repro_cache_hits_total"
-M_CACHE_MISSES = "repro_cache_misses_total"
-M_CACHE_EVICTIONS = "repro_cache_evictions_total"
-M_CACHE_INVALIDATIONS = "repro_cache_invalidations_total"
+# exported metric names (documented in docs/OBSERVABILITY.md)
+from repro.obs.metrics import (  # noqa: F401 (re-exported)
+    M_CACHE_EVICTIONS, M_CACHE_HITS, M_CACHE_INVALIDATIONS, M_CACHE_MISSES,
+)
 
 #: per-session entry bound when no explicit size is configured
 DEFAULT_MAX_ENTRIES = 1024
@@ -128,10 +126,7 @@ class FragmentCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        registry = obs.get_registry()
-        self._registry = registry if registry.enabled else None
-        recorder = obs.get_recorder()
-        self._recorder = recorder if recorder.enabled else None
+        self._sink = obs.get_sink()
 
     # -- probing ---------------------------------------------------------------
 
@@ -149,12 +144,12 @@ class FragmentCache:
         ):
             self.entries.move_to_end(key)
             self.hits += 1
-            self._count(M_CACHE_HITS, "fragment cache hits")
-            self._event("hit", fn, label)
+            if self._sink is not None:
+                self._sink.cache("hit", self.program, fn, label)
             return entry
         self.misses += 1
-        self._count(M_CACHE_MISSES, "fragment cache misses")
-        self._event("miss", fn, label)
+        if self._sink is not None:
+            self._sink.cache("miss", self.program, fn, label)
         return None
 
     def store(self, key, entry, fn="", label=None):
@@ -181,8 +176,8 @@ class FragmentCache:
         if self.quota is not None:
             self.quota.release()
         self.evictions += 1
-        self._count(M_CACHE_EVICTIONS, "fragment cache LRU/quota evictions")
-        self._event("evict", fn, label)
+        if self._sink is not None:
+            self._sink.cache("evict", self.program, fn, label)
 
     def invalidate(self, fn="", label=None):
         """A hidden-store write happened: bump the epoch.  Entries keyed
@@ -190,9 +185,8 @@ class FragmentCache:
         order; entries that read no hidden store stay valid."""
         self.epoch += 1
         self.invalidations += 1
-        self._count(M_CACHE_INVALIDATIONS,
-                    "fragment cache epoch invalidations")
-        self._event("invalidate", fn, label)
+        if self._sink is not None:
+            self._sink.cache("invalidate", self.program, fn, label)
 
     def release_all(self):
         """Return every quota charge (session teardown on the daemon)."""
@@ -215,20 +209,6 @@ class FragmentCache:
             "entries": len(self.entries),
             "epoch": self.epoch,
         }
-
-    def _count(self, name, help_):
-        if self._registry is not None:
-            self._registry.counter(
-                name, help=help_, program=self.program
-            ).inc()
-
-    def _event(self, event, fn, label):
-        if self._recorder is not None:
-            self._recorder.record(
-                "cache", event=event, fn=fn,
-                label=str(label) if label is not None else "",
-                program=self.program,
-            )
 
     def __repr__(self):
         return "<FragmentCache %s %d entries, %d/%d hit/miss, epoch %d>" % (

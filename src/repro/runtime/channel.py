@@ -13,56 +13,25 @@ can be deferred with :meth:`Channel.defer` and are flushed as a single
 before any ordinary :meth:`Channel.round_trip`, or explicitly via
 :meth:`Channel.flush_deferred` at end of run.
 
-When telemetry is enabled (:mod:`repro.obs`), every round trip is also
-recorded in the active registry — counters by event kind, per-ILP value
-counts, payload-size and simulated-latency histograms — and emitted as an
-instantaneous tracer span tagged with the fragment label.  When a flight
-recorder is active (``--log-events``, :mod:`repro.obs.events`) every
-round trip additionally lands in the bounded per-event stream that
-:mod:`repro.obs.audit` joins against the static Section 3 estimates.
+When telemetry is enabled (:mod:`repro.obs`), every round trip and batch
+flush is also handed to the telemetry sink, which derives the registry
+samples (counters by event kind, per-ILP value counts, payload-size and
+simulated-latency histograms), the tracer summary entry and — with a
+flight recorder active (``--log-events``, :mod:`repro.obs.events`) — the
+per-event record that :mod:`repro.obs.audit` joins against the static
+Section 3 estimates.
 """
 
 from repro import obs
-from repro.obs.metrics import (
-    BATCH_BUCKETS,
-    BYTE_BUCKETS,
-    RT_PHASE_BUCKETS,
-    SIM_MS_BUCKETS,
+# exported metric names (documented in docs/OBSERVABILITY.md)
+from repro.obs.metrics import (  # noqa: F401 (re-exported)
+    M_BATCH_SIZE, M_COALESCED, M_PAYLOAD_BYTES, M_ROUND_TRIPS, M_RT_PHASE,
+    M_RTT_SIM_MS, M_SIM_MS, M_VALUES,
 )
-
-#: exported metric names (documented in docs/OBSERVABILITY.md)
-M_ROUND_TRIPS = "repro_channel_round_trips_total"
-M_VALUES = "repro_channel_values_total"
-M_PAYLOAD_BYTES = "repro_channel_payload_bytes"
-M_RTT_SIM_MS = "repro_channel_rtt_simulated_ms"
-M_SIM_MS = "repro_channel_simulated_ms_total"
-M_BATCH_SIZE = "repro_channel_batch_size"
-M_COALESCED = "repro_channel_coalesced_total"
-M_RT_PHASE = "repro_rt_phase_seconds"
-
-#: the measured round-trip phases a traced remote run decomposes into
-#: (docs/OBSERVABILITY.md, "Distributed tracing & latency attribution")
-RT_PHASES = ("serialize", "wire", "exec", "deser")
 
 #: modelled wire size: fixed header plus 8 bytes per scalar carried
 _HEADER_BYTES = 16
 _VALUE_BYTES = 8
-
-
-def _trace_fields(phases, trace):
-    """Extra recorder fields for a traced remote round trip: the trace
-    context and the measured per-phase timings in microseconds.  Empty —
-    schema-identical to the seed — when tracing is off."""
-    extra = {}
-    if trace is not None:
-        extra["trace_id"], extra["cseq"] = trace
-    if phases is not None:
-        extra["ser_us"] = round(phases["serialize"] * 1e6, 1)
-        extra["wire_us"] = round(phases["wire"] * 1e6, 1)
-        extra["exec_us"] = round(phases["exec"] * 1e6, 1)
-        extra["deser_us"] = round(phases["deser"] * 1e6, 1)
-        extra["rt_us"] = round(phases["total"] * 1e6, 1)
-    return extra
 
 
 class LatencyModel:
@@ -205,11 +174,7 @@ class Channel:
         self.simulated_ms = 0.0
         self.coalesced_messages = 0
         self._pending = []
-        registry = obs.get_registry()
-        self._registry = registry if registry.enabled else None
-        self._tracer = obs.get_tracer() if registry.enabled else None
-        recorder = obs.get_recorder()
-        self._recorder = recorder if recorder.enabled else None
+        self._sink = obs.get_sink()
 
     def defer(self, kind, hid, fn_name, label, sent):
         """Buffer a one-way message instead of charging a round trip.
@@ -243,16 +208,10 @@ class Channel:
         self.coalesced_messages += len(pending)
         cost_ms = self.latency.cost_ms(len(merged) + 1)
         self.simulated_ms += cost_ms
-        if self._registry is not None:
-            self._record_batch_metrics(pending, merged, cost_ms)
-            if phases is not None:
-                self._record_phase_metrics(phases)
-        if self._recorder is not None:
-            self._recorder.channel(
-                "batch", "-", "-", len(merged),
-                _HEADER_BYTES + _VALUE_BYTES * len(merged), cost_ms,
-                **_trace_fields(phases, trace),
-            )
+        if self._sink is not None:
+            self._sink.batch(pending, len(merged),
+                             _HEADER_BYTES + _VALUE_BYTES * len(merged),
+                             cost_ms, phases, trace)
         if self.record:
             self.transcript.append(
                 Event(self.interactions, "batch", None, "-", None, merged,
@@ -270,117 +229,14 @@ class Channel:
             self.values_received += 1
         cost_ms = self.latency.cost_ms(len(sent) + 1)
         self.simulated_ms += cost_ms
-        if self._registry is not None:
-            self._record_metrics(kind, fn_name, label, sent, result, cost_ms)
-            if phases is not None:
-                self._record_phase_metrics(phases)
-        if self._recorder is not None:
+        if self._sink is not None:
             carried = len(sent) + (0 if result is None else 1)
-            self._recorder.channel(
-                kind, fn_name or "-", "-" if label is None else str(label),
-                carried, _HEADER_BYTES + _VALUE_BYTES * carried, cost_ms,
-                **_trace_fields(phases, trace),
-            )
+            self._sink.round_trip(kind, fn_name, label, carried,
+                                  _HEADER_BYTES + _VALUE_BYTES * carried,
+                                  cost_ms, phases, trace)
         if self.record:
             self.transcript.append(
                 Event(self.interactions, kind, hid, fn_name, label, sent,
                       result, cost_ms)
             )
         return result
-
-    def _record_phase_metrics(self, phases):
-        for phase in RT_PHASES:
-            self._registry.histogram(
-                M_RT_PHASE,
-                help="measured round-trip phase durations (--trace)",
-                buckets=RT_PHASE_BUCKETS,
-                phase=phase,
-            ).observe(phases[phase])
-
-    def _record_metrics(self, kind, fn_name, label, sent, result, cost_ms):
-        registry = self._registry
-        carried = len(sent) + (0 if result is None else 1)
-        payload = _HEADER_BYTES + _VALUE_BYTES * carried
-        label_str = "-" if label is None else str(label)
-        registry.counter(
-            M_ROUND_TRIPS, help="channel round trips by event kind", kind=kind
-        ).inc()
-        registry.counter(
-            M_VALUES,
-            help="scalar values carried per fragment (ILP)",
-            fn=fn_name or "-",
-            label=label_str,
-        ).inc(carried)
-        registry.histogram(
-            M_PAYLOAD_BYTES,
-            help="modelled payload size per round trip",
-            buckets=BYTE_BUCKETS,
-            kind=kind,
-        ).observe(payload)
-        registry.histogram(
-            M_RTT_SIM_MS,
-            help="simulated latency per round trip",
-            buckets=SIM_MS_BUCKETS,
-        ).observe(cost_ms)
-        registry.counter(
-            M_SIM_MS, help="total simulated channel time"
-        ).inc(cost_ms)
-        tracer = self._tracer
-        tracer.emit(
-            "channel.round_trip",
-            sim_ms=cost_ms,
-            kind=kind,
-            fn=fn_name or "-",
-            label=label_str,
-            values=carried,
-            bytes=payload,
-        )
-        tracer.add_sim_ms(cost_ms)
-
-    def _record_batch_metrics(self, pending, merged, cost_ms):
-        registry = self._registry
-        payload = _HEADER_BYTES + _VALUE_BYTES * len(merged)
-        registry.counter(
-            M_ROUND_TRIPS, help="channel round trips by event kind", kind="batch"
-        ).inc()
-        for kind, _hid, fn_name, label, sent in pending:
-            registry.counter(
-                M_COALESCED,
-                help="one-way messages coalesced into batch round trips",
-                kind=kind,
-            ).inc()
-            if sent:
-                registry.counter(
-                    M_VALUES,
-                    help="scalar values carried per fragment (ILP)",
-                    fn=fn_name or "-",
-                    label="-" if label is None else str(label),
-                ).inc(len(sent))
-        registry.histogram(
-            M_BATCH_SIZE,
-            help="messages coalesced per batch flush",
-            buckets=BATCH_BUCKETS,
-        ).observe(len(pending))
-        registry.histogram(
-            M_PAYLOAD_BYTES,
-            help="modelled payload size per round trip",
-            buckets=BYTE_BUCKETS,
-            kind="batch",
-        ).observe(payload)
-        registry.histogram(
-            M_RTT_SIM_MS,
-            help="simulated latency per round trip",
-            buckets=SIM_MS_BUCKETS,
-        ).observe(cost_ms)
-        registry.counter(
-            M_SIM_MS, help="total simulated channel time"
-        ).inc(cost_ms)
-        tracer = self._tracer
-        tracer.emit(
-            "channel.batch",
-            sim_ms=cost_ms,
-            messages=len(pending),
-            values=len(merged),
-            bytes=payload,
-        )
-        tracer.add_sim_ms(cost_ms)

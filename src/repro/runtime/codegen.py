@@ -27,6 +27,9 @@ function/fragment like the closure tier; wall-clock cost lands in
 import time
 
 from repro import obs
+# deopt events (function/fragment fell back to the closure tier), labelled
+# ``side`` (open|hidden) and ``reason`` (the classified cause below)
+from repro.obs.metrics import M_DEOPT  # noqa: F401 (re-exported)
 from repro.lang import ast
 from repro.obs import profile as _profile
 from repro.lang.typecheck import BUILTIN_SIGNATURES
@@ -56,10 +59,6 @@ from repro.runtime.values import (
     default_value,
     scalar_repr,
 )
-
-#: deopt events (function/fragment fell back to the closure tier), labelled
-#: ``side`` (open|hidden) and ``reason`` (the classified cause below)
-M_DEOPT = "repro_codegen_deopt_total"
 
 #: ``reason`` label values on :data:`M_DEOPT` (docs/OBSERVABILITY.md)
 DEOPT_REFUSED = "refused"  # the generator deliberately declined a construct
@@ -108,24 +107,13 @@ def _classify_deopt(exc):
     return DEOPT_INTERNAL
 
 
-def _count_deopt(side, reason):
-    registry = obs.get_registry()
-    if registry.enabled:
-        registry.counter(
-            M_DEOPT, help="codegen deopt fallbacks to the closure tier",
-            side=side, reason=reason,
-        ).inc()
-
-
 def _record_deopt(side, name, exc, line=None):
     """Attribute one fallback: reason-labelled counter bump plus a
     flight-recorder ``deopt`` event carrying the site identity."""
     reason = _classify_deopt(exc)
-    _count_deopt(side, reason)
-    recorder = obs.get_recorder()
-    if recorder.enabled:
-        recorder.deopt(side, name, reason,
-                       "line %d" % line if line else "")
+    sink = obs.get_sink()
+    if sink is not None:
+        sink.deopt(side, name, reason, "line %d" % line if line else "")
     return reason
 
 

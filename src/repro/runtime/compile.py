@@ -26,6 +26,8 @@ by ``repro_engine_total{engine=...,side=...}``.  See docs/ENGINE.md.
 import time
 
 from repro import obs
+# exported metric names (documented in docs/OBSERVABILITY.md)
+from repro.obs.metrics import M_COMPILE_SECONDS, M_ENGINE  # noqa: F401
 from repro.lang import ast
 from repro.lang.typecheck import BUILTIN_SIGNATURES
 from repro.runtime.values import (
@@ -42,10 +44,6 @@ from repro.runtime.values import (
     unary_op,
 )
 
-#: exported metric names (documented in docs/OBSERVABILITY.md)
-M_COMPILE_SECONDS = "repro_engine_compile_seconds"
-M_ENGINE = "repro_engine_total"
-
 # The engine registry lives in repro/runtime/__init__.py (defined there
 # before any submodule import, so this works during package init); the
 # names are re-exported here for backward compatibility.
@@ -55,30 +53,15 @@ from repro.runtime import DEFAULT_ENGINE, ENGINES, validate_engine  # noqa: E402
 _MISSING = object()
 
 
-def count_engine(side, engine):
-    """Count one engine instantiation in ``repro_engine_total``."""
-    registry = obs.get_registry()
-    if registry.enabled:
-        registry.counter(
-            M_ENGINE, help="execution engine instantiations by side",
-            engine=engine, side=side,
-        ).inc()
-
-
 def _observe_compile(side, seconds, engine="compiled"):
     """Record one body/fragment lowering in the compile-cost histogram.
 
     Labelled by ``side`` *and* ``engine`` so the closure tier's and the
     codegen tier's compilation costs stay distinguishable in
     ``/metrics.json`` and ``repro stats`` (docs/ENGINE.md)."""
-    registry = obs.get_registry()
-    if registry.enabled:
-        registry.histogram(
-            M_COMPILE_SECONDS,
-            help="compilation wall seconds per function/fragment",
-            side=side,
-            engine=engine,
-        ).observe(seconds)
+    sink = obs.get_sink()
+    if sink is not None:
+        sink.compiled(side, engine, seconds)
 
 
 # -- control flow shared by both engines ---------------------------------------

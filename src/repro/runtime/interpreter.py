@@ -16,6 +16,8 @@ from repro import obs
 from repro.lang import ast
 from repro.lang.typecheck import BUILTIN_SIGNATURES
 from repro.obs import profile as _profile
+# exported metric names (documented in docs/OBSERVABILITY.md)
+from repro.obs.metrics import M_STEPS, M_STMTS  # noqa: F401 (re-exported)
 # _Return/_Break/_Continue are shared with the compiled engine so control
 # flow crosses engine boundaries; StepLimitExceeded is re-exported here for
 # backward compatibility (it lives in values.py).
@@ -25,7 +27,6 @@ from repro.runtime.compile import (  # noqa: F401 (re-exported)
     _Break,
     _Continue,
     _Return,
-    count_engine,
     validate_engine,
 )
 from repro.runtime.codegen import OpenCodegen
@@ -43,9 +44,6 @@ from repro.runtime.values import (  # noqa: F401 (StepLimitExceeded re-exported)
 
 HIDDEN_BUILTINS = ("hopen", "hcall", "hclose")
 
-#: exported metric names (documented in docs/OBSERVABILITY.md)
-M_STEPS = "repro_steps_total"
-M_STMTS = "repro_stmt_executions_total"
 
 
 class Env:
@@ -129,9 +127,8 @@ class Interpreter:
         self.call_depth = 0
         self.steps = 0
         self.output = []
-        registry = obs.get_registry()
-        self._registry = registry if registry.enabled else None
-        self._stmt_counts = {} if registry.enabled else None
+        self._sink = obs.get_sink()
+        self._stmt_counts = {} if self._sink is not None else None
         self._steps_flushed = 0
         self.globals = {}
         for g in program.globals:
@@ -160,12 +157,13 @@ class Interpreter:
             OpenCodegen(
                 self._functions, self._methods, self._classes,
                 globals_names=frozenset(self.globals),
-                counting=registry.enabled,
+                counting=self._sink is not None,
             )
             if self.engine == "codegen"
             else None
         )
-        count_engine("open", self.engine)
+        if self._sink is not None:
+            self._sink.engine("open", self.engine)
 
     def _literal(self, expr):
         if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.BoolLit)):
@@ -192,8 +190,7 @@ class Interpreter:
         finally:
             if old_limit < needed:
                 sys.setrecursionlimit(old_limit)
-            if self._registry is not None:
-                self.flush_metrics()
+            self.flush_metrics()
 
     def flush_metrics(self):
         """Publish accumulated step/statement counts to the registry.
@@ -201,18 +198,11 @@ class Interpreter:
         Called automatically at the end of :meth:`run`; flushes deltas, so
         repeated runs on one interpreter never double-count.
         """
-        registry = self._registry
-        if registry is None:
+        if self._sink is None:
             return
-        for kind, count in self._stmt_counts.items():
-            registry.counter(
-                M_STMTS, help="statement executions by AST kind",
-                side="open", kind=kind,
-            ).inc(count)
+        self._sink.statements("open", self.steps - self._steps_flushed,
+                              self._stmt_counts)
         self._stmt_counts.clear()
-        registry.counter(
-            M_STEPS, help="statements executed by side", side="open"
-        ).inc(self.steps - self._steps_flushed)
         self._steps_flushed = self.steps
 
     def call_function(self, fn, args, receiver=None):

@@ -35,7 +35,11 @@ import threading
 import time
 
 from repro import obs
-from repro.obs.metrics import RT_PHASE_BUCKETS
+# exported metric names (documented in docs/OBSERVABILITY.md)
+from repro.obs.metrics import (  # noqa: F401 (re-exported)
+    M_CLIENTS, M_EXEC_SECONDS, M_OPS, M_REJECTED, M_SESSION_ERRORS,
+    M_SESSIONS,
+)
 from repro.runtime.cache import CacheQuota, FragmentCache
 from repro.runtime.channel import Channel, LatencyModel
 from repro.runtime import DEFAULT_ENGINE
@@ -52,13 +56,10 @@ PROTOCOL_VERSION = 3
 _FRAME_ERRORS = (LookupError, TypeError, AttributeError, ValueError,
                  RecursionError)
 
-#: exported metric names (documented in docs/OBSERVABILITY.md)
-M_CLIENTS = "repro_remote_clients"
-M_SESSIONS = "repro_remote_sessions_total"
-M_SESSION_ERRORS = "repro_remote_session_errors_total"
-M_REJECTED = "repro_remote_rejected_total"
-M_OPS = "repro_remote_ops_total"
-M_EXEC_SECONDS = "repro_remote_exec_seconds"
+#: the longest frame either side reads, newline included: a peer that
+#: streams bytes without a newline gets a protocol error at this bound
+#: instead of growing the reader's memory (docs/PROTOCOL.md)
+MAX_FRAME_BYTES = 1 << 20
 
 
 class ChannelError(RuntimeErr):
@@ -104,13 +105,16 @@ def _send(wfile, payload):
 
 def _readline(rfile):
     try:
-        line = rfile.readline()
+        line = rfile.readline(MAX_FRAME_BYTES + 1)
     except socket.timeout:
         raise ChannelTimeout("no frame within the read timeout")
     except OSError as exc:
         raise ChannelError("connection failed: %s" % exc)
     if not line:
         raise ChannelError("connection closed")
+    if len(line) > MAX_FRAME_BYTES:
+        raise ChannelProtocolError(
+            "frame exceeds %d bytes" % MAX_FRAME_BYTES)
     return line
 
 
@@ -271,15 +275,15 @@ class HiddenComponentServer:
         #: program -> aggregated cache counters of *finished* sessions
         self.cache_stats = {}
         self._sock = socket.create_server((host, port))
+        # set before serve_forever runs: a shutdown() racing the start
+        # must find nothing left to configure on the closed listener
+        self._sock.settimeout(0.2)
         self.address = self._sock.getsockname()
         self._stop = threading.Event()
         self._draining = threading.Event()
         self._sessions = set()
         self._sessions_lock = threading.Lock()
-        metrics = obs.get_registry()
-        self._metrics = metrics if metrics.enabled else None
-        recorder = obs.get_recorder()
-        self._recorder = recorder if recorder.enabled else None
+        self._sink = obs.get_sink()
         # clock-sync fallback epoch when no flight recorder is active: the
         # trace handshake still answers with a consistent local timebase
         self._t0 = time.perf_counter()
@@ -313,9 +317,15 @@ class HiddenComponentServer:
         }
 
     def _new_inner(self, tenant):
-        return self._pin_recorder(tenant.new_server(
+        inner = tenant.new_server(
             Channel(LatencyModel.instant(), record=False), engine=self.engine,
-        ))
+        )
+        # inner hidden servers are created at session-bind time, when (in
+        # the in-process ``remote_server`` setup) the *client's* telemetry
+        # scope may be active; their fragment events belong to this
+        # server's stream, pinned at construction
+        inner._sink = self._sink
+        return inner
 
     def _cache_quota(self, program):
         """The tenant's shared entry quota, or None when unbounded."""
@@ -343,17 +353,9 @@ class HiddenComponentServer:
         """Microseconds on this server's event timebase — the recorder's
         epoch when one is active (so the exchanged epoch aligns with the
         server's ``--log-events`` stream), a local epoch otherwise."""
-        if self._recorder is not None:
-            return self._recorder.now_us()
+        if self._sink is not None and self._sink.recorder is not None:
+            return self._sink.recorder.now_us()
         return round((time.perf_counter() - self._t0) * 1e6, 1)
-
-    def _pin_recorder(self, inner):
-        """Inner hidden servers are created at session-bind time, when (in
-        the in-process ``remote_server`` setup) the *client's* telemetry
-        scope may be active; their fragment events belong to this server's
-        stream, pinned at construction."""
-        inner._recorder = self._recorder
-        return inner
 
     # -- accept loop -----------------------------------------------------------
 
@@ -361,8 +363,6 @@ class HiddenComponentServer:
         """Accept clients until :meth:`shutdown` or :meth:`drain`; one
         thread per client, each with its own hidden state (a fresh
         deployment per session)."""
-        self._sock.settimeout(0.2)
-        threads = []
         while not (self._stop.is_set() or self._draining.is_set()):
             try:
                 conn, _addr = self._sock.accept()
@@ -377,16 +377,23 @@ class HiddenComponentServer:
                 self._reject(conn, "connection limit reached (%d live "
                              "sessions)" % self.max_sessions)
                 continue
-            session = _ClientSession(self, conn)
-            with self._sessions_lock:
-                self._sessions.add(session)
-            t = threading.Thread(target=session.run, daemon=True)
-            t.start()
-            threads.append(t)
+            self._start_session(conn)
         grace = self.drain_grace_s if self._draining.is_set() else 1.0
         deadline = time.monotonic() + grace
-        for t in threads:
-            t.join(timeout=max(0.0, deadline - time.monotonic()))
+        # finished sessions have already left the live set; only those
+        # still running are waited for
+        with self._sessions_lock:
+            live = list(self._sessions)
+        for session in live:
+            session.thread.join(timeout=max(0.0, deadline - time.monotonic()))
+
+    def _start_session(self, conn):
+        # the live set is the only reference the daemon keeps: a finished
+        # session (and its thread) leaves it in _session_done
+        session = _ClientSession(self, conn)
+        with self._sessions_lock:
+            self._sessions.add(session)
+        session.thread.start()
 
     def live_sessions(self):
         with self._sessions_lock:
@@ -400,11 +407,8 @@ class HiddenComponentServer:
         """Refuse a connection before the protocol handshake: the error
         frame is marked retryable so a policy-driven client backs off and
         tries again instead of failing the run."""
-        if self._metrics is not None:
-            self._metrics.counter(
-                M_REJECTED, help="connections refused before handshake",
-                reason="limit",
-            ).inc()
+        if self._sink is not None:
+            self._sink.session("rejected", "limit")
         with contextlib.suppress(OSError):
             wfile = conn.makefile("wb")
             _send(wfile, {"error": message, "retry": True})
@@ -412,13 +416,8 @@ class HiddenComponentServer:
             conn.close()
 
     def _count_session_error(self, reason):
-        if self._metrics is not None:
-            self._metrics.counter(
-                M_SESSION_ERRORS,
-                help="sessions ended by transport errors, timeouts or "
-                "protocol errors",
-                reason=reason,
-            ).inc()
+        if self._sink is not None:
+            self._sink.session("error", reason)
 
     def shutdown(self):
         """Immediate stop: close the listener; session threads are daemonic
@@ -464,6 +463,7 @@ class _ClientSession:
         self._used = False
         self._in_flight = False
         self._lock = threading.Lock()
+        self.thread = threading.Thread(target=self.run, daemon=True)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -498,11 +498,8 @@ class _ClientSession:
             if self.inner is not None and self.inner.cache is not None:
                 server._fold_cache_stats(self.tenant.name, self.inner.cache)
                 self.inner.cache.release_all()
-            if self.tenant is not None and server._metrics is not None:
-                server._metrics.gauge(
-                    M_CLIENTS, help="currently connected client sessions",
-                    program=self.tenant.name,
-                ).dec()
+            if self.tenant is not None and server._sink is not None:
+                server._sink.session("close", self.tenant.name)
             with contextlib.suppress(OSError):
                 conn.close()
             server._session_done(self)
@@ -523,25 +520,10 @@ class _ClientSession:
                 with contextlib.suppress(OSError):
                     self.conn.shutdown(socket.SHUT_RD)
 
-    def _count_op(self, exec_s):
-        """Per-program round-trip accounting — the rate/p95 source for
-        ``/timeseries.json`` and ``repro top`` (docs/OPERATIONS.md)."""
-        metrics = self.server._metrics
-        if metrics is None or self.tenant is None:
-            return
-        program = self.tenant.name
-        metrics.counter(
-            M_OPS, help="protocol ops served, by program", program=program,
-        ).inc()
-        metrics.histogram(
-            M_EXEC_SECONDS,
-            help="server-side execution seconds per protocol op",
-            buckets=RT_PHASE_BUCKETS, program=program,
-        ).observe(exec_s)
-
     def _loop(self, rfile, wfile):
         server = self.server
-        recorder = server._recorder
+        sink = server._sink
+        recorder = sink.recorder if sink is not None else None
         while True:
             try:
                 line = _readline(rfile)
@@ -576,25 +558,24 @@ class _ClientSession:
                     else contextlib.nullcontext()
                 )
                 with ctx:
-                    if recorder is not None:
-                        recorder.record("server_recv", op=op)
+                    if sink is not None:
+                        sink.op_received(op)
                     try:
-                        result = self._dispatch(msg, rfile, wfile, recorder)
+                        result = self._dispatch(msg, rfile, wfile, sink)
+                        ok = True
                     except RuntimeErr as exc:
-                        if recorder is not None:
-                            recorder.record(
-                                "server_send", op=op, ok=False,
-                                exec_us=round(
-                                    (time.perf_counter() - t0) * 1e6, 1),
-                            )
-                        self._count_op(time.perf_counter() - t0)
-                        _send(wfile, {"error": str(exc)})
-                        continue
+                        result, ok = exc, False
                     exec_us = round((time.perf_counter() - t0) * 1e6, 1)
-                    if recorder is not None:
-                        recorder.record("server_send", op=op, ok=True,
-                                        exec_us=exec_us)
-                    self._count_op(exec_us / 1e6)
+                    if sink is not None:
+                        # per-program op accounting is the rate/p95 source
+                        # for /timeseries.json and repro top
+                        sink.op_answered(
+                            None if self.tenant is None
+                            else self.tenant.name,
+                            op, ok, exec_us)
+                if not ok:
+                    _send(wfile, {"error": str(result)})
+                    continue
                 if result == "bye":
                     return
                 reply = {"result": result}
@@ -617,18 +598,10 @@ class _ClientSession:
         self.inner = self.server._new_inner(tenant)
         self.inner.batching = self.batching
         self._apply_cache()
-        metrics = self.server._metrics
-        if metrics is not None:
+        if self.server._sink is not None:
             # live scrape support (--expo-port): how many client sessions
             # each program has right now, and how many there have been
-            metrics.gauge(
-                M_CLIENTS, help="currently connected client sessions",
-                program=tenant.name,
-            ).inc()
-            metrics.counter(
-                M_SESSIONS, help="client sessions accepted since start",
-                program=tenant.name,
-            ).inc()
+            self.server._sink.session("open", tenant.name)
 
     def _apply_cache(self):
         """Create (or drop) the inner server's session cache to match the
@@ -682,7 +655,7 @@ class _ClientSession:
 
     # -- dispatch --------------------------------------------------------------
 
-    def _dispatch(self, msg, rfile, wfile, recorder=None):
+    def _dispatch(self, msg, rfile, wfile, sink=None):
         op = msg.get("op")
         if op == "open":
             inner = self._ensure_bound()
@@ -741,13 +714,12 @@ class _ClientSession:
             for sub in msgs:
                 if sub.get("op") == "batch":
                     raise RuntimeErr("batch frames do not nest")
-                if recorder is not None:
+                if sink is not None:
                     # one recv event per coalesced sub-op, so every message
                     # folded into the batch frame stays attributable (the
                     # batch's trace context is applied by the caller)
-                    recorder.record("server_recv", op=str(sub.get("op")),
-                                    sub=executed)
-                self._dispatch(sub, rfile, wfile, recorder)
+                    sink.op_received(str(sub.get("op")), sub=executed)
+                self._dispatch(sub, rfile, wfile, sink)
                 executed += 1
             return executed
         raise RuntimeErr("unknown op %r" % op)
@@ -817,8 +789,7 @@ class RemoteHiddenRuntime:
         self._tseq = 0
         self._outbox = []
         self._hid_fn = {}  # hid -> fn_id, to look up deferrable labels
-        recorder = obs.get_recorder()
-        self._recorder = recorder if recorder.enabled else None
+        self._sink = obs.get_sink()
         self._connect(address)
         if self.trace:
             self._trace_handshake()
@@ -977,7 +948,8 @@ class RemoteHiddenRuntime:
         transcripts and round-trip counts.  An old server that rejects the
         frame degrades gracefully (context stamping still works; the
         merged timeline just stays unaligned)."""
-        recorder = self._recorder
+        sink = self._sink
+        recorder = sink.recorder if sink is not None else None
         send_us = recorder.now_us() if recorder is not None else 0.0
         w0 = time.perf_counter()
         _send(self._wfile, self._stamp(
@@ -1003,9 +975,8 @@ class RemoteHiddenRuntime:
             "offset_us": offset_us,
             "skew_bound_us": round((recv_us - send_us) / 2.0, 1),
         }
-        if recorder is not None:
-            recorder.record("trace_sync", trace_id=self.trace_id,
-                            **self.clock_sync)
+        if sink is not None:
+            sink.clock_sync(self.trace_id, self.clock_sync)
 
     def _cache_handshake(self):
         """Ask the server to enable its session fragment cache

@@ -18,7 +18,10 @@ sent to the hidden side".
 import time
 
 from repro import obs
-from repro.obs.metrics import STEP_BUCKETS
+# exported metric names (documented in docs/OBSERVABILITY.md)
+from repro.obs.metrics import (  # noqa: F401 (re-exported)
+    M_ACTIVATIONS, M_CALLS, M_FRAGMENT_STEPS, M_STEPS, M_STMTS,
+)
 from repro.obs import profile as _profile
 from repro.lang import ast
 from repro.core.hidden import FragmentKind
@@ -32,7 +35,6 @@ from repro.runtime.compile import (
     _Break,
     _Continue,
     compile_fragment,
-    count_engine,
     validate_engine,
 )
 from repro.runtime.codegen import codegen_fragment
@@ -45,12 +47,6 @@ from repro.runtime.values import (
 )
 from repro.lang.typecheck import BUILTIN_SIGNATURES
 
-#: exported metric names (documented in docs/OBSERVABILITY.md)
-M_ACTIVATIONS = "repro_server_activations_total"
-M_CALLS = "repro_server_calls_total"
-M_FRAGMENT_STEPS = "repro_server_fragment_steps"
-M_STEPS = "repro_steps_total"
-M_STMTS = "repro_stmt_executions_total"
 
 #: batch-cache miss sentinel (prefetched values may legitimately be falsy)
 _MISSING = object()
@@ -210,11 +206,9 @@ class HiddenServer:
         self._purity = {}  # id(fragment) -> PurityVerdict
         # id(fragment) -> CompiledFragment; None when running the AST engine
         self._compiled = {} if self.engine in ("compiled", "codegen") else None
-        count_engine("hidden", self.engine)
-        registry = obs.get_registry()
-        self._registry = registry if registry.enabled else None
-        recorder = obs.get_recorder()
-        self._recorder = recorder if recorder.enabled else None
+        self._sink = obs.get_sink()
+        if self._sink is not None:
+            self._sink.engine("hidden", self.engine)
 
     # -- activation management -------------------------------------------------
 
@@ -226,21 +220,16 @@ class HiddenServer:
         fn_name, _fragments, _storage = self.registry[fn_id]
         receiver_oid = receiver.oid if receiver is not None else None
         self.activations[hid] = Activation(hid, fn_id, fn_name, receiver_oid)
-        if self._registry is not None:
-            self._registry.counter(
-                M_ACTIVATIONS, help="activation lifecycle events", event="open"
-            ).inc()
+        if self._sink is not None:
+            self._sink.activation("open")
         self.channel.round_trip("open", hid, fn_name, None, (fn_id,), hid)
         return hid
 
     def close_activation(self, hid):
         activation = self.activations.pop(hid, None)
         if activation is not None:
-            if self._registry is not None:
-                self._registry.counter(
-                    M_ACTIVATIONS, help="activation lifecycle events",
-                    event="close",
-                ).inc()
+            if self._sink is not None:
+                self._sink.activation("close")
             if self.batching:
                 # hclose returns nothing: a pure send, safe to coalesce
                 self.channel.defer("close", hid, activation.fn_name, None, ())
@@ -346,7 +335,7 @@ class HiddenServer:
         if compiled is None:
             if self.engine == "codegen":
                 compiled = codegen_fragment(
-                    fragment, storage_map, self._registry is not None
+                    fragment, storage_map, self._sink is not None
                 )
             else:
                 compiled = compile_fragment(fragment, storage_map)
@@ -373,10 +362,10 @@ class HiddenServer:
         env = activation.env
         for name, value in zip(fragment.params, values):
             env[name] = value
-        registry = self._registry
-        stmt_counts = {} if registry is not None else None
+        sink = self._sink
+        stmt_counts = {} if sink is not None else None
         steps_before = self.steps
-        wall_t0 = time.perf_counter() if self._recorder is not None else 0.0
+        wall_t0 = time.perf_counter() if sink is not None else 0.0
         cache = self.cache
         verdict = None
         cache_key = None
@@ -396,31 +385,67 @@ class HiddenServer:
                             else self.max_steps - self.steps
                         ),
                     )
-        if entry is not None:
-            # transparent replay: the recorded step count, statement mix,
-            # activation-env writes, and result of the filling execution —
-            # then exactly the accounting a real execution performs
-            self.steps += entry.steps
-            if entry.env_writes:
-                env.update(entry.env_writes)
-            if stmt_counts is not None and entry.stmt_counts:
-                for kind, count in entry.stmt_counts.items():
-                    stmt_counts[kind] = stmt_counts.get(kind, 0) + count
-            result = entry.result
-            if registry is not None:
-                self._flush_call_metrics(
-                    fn_name, label, stmt_counts, self.steps - steps_before
+        # a filling execution (a keyable miss) runs against a
+        # write-tracking copy: the stored entry must replay exactly the
+        # names the execution *wrote*.  A value diff against the pre-call
+        # env is unsound — it drops a write whose value happens to equal
+        # the name's previous one, and a later hit in an activation where
+        # that name differs then fails to re-apply the write.
+        filling = None
+        if entry is None and cache_key is not None:
+            filling = _WriteTrackingEnv(env)
+        try:
+            if entry is not None:
+                # transparent replay: the recorded step count, statement
+                # mix, activation-env writes, and result of the filling
+                # execution — then exactly the accounting a real
+                # execution performs
+                self.steps += entry.steps
+                if entry.env_writes:
+                    env.update(entry.env_writes)
+                if stmt_counts is not None and entry.stmt_counts:
+                    for kind, count in entry.stmt_counts.items():
+                        stmt_counts[kind] = stmt_counts.get(kind, 0) + count
+                result = entry.result
+            else:
+                result = self._execute(
+                    activation, fragment, access,
+                    env if filling is None else filling, storage_map,
+                    fn_name, stmt_counts,
                 )
-            if self._recorder is not None:
-                self._recorder.fragment(
-                    fn_name, str(label), self.steps - steps_before,
-                    wall_us=round((time.perf_counter() - wall_t0) * 1e6, 1),
-                )
-        else:
-            result = self._execute(
-                activation, fragment, label, values, access, env,
-                storage_map, fn_name, registry, stmt_counts, steps_before,
-                wall_t0, cache, verdict, cache_key,
+        finally:
+            # flush even when the fragment aborts (step limit, runtime
+            # error) — partial step/statement counts would otherwise be
+            # dropped from the registry
+            if sink is not None:
+                sink.fragment(fn_name, label, self.steps - steps_before,
+                              stmt_counts, wall_t0)
+            # an aborted writer may have mutated the store already, so
+            # the epoch bump sits with the other must-run accounting
+            if (
+                entry is None
+                and verdict is not None
+                and verdict.writes_hidden_store
+            ):
+                cache.invalidate(fn=fn_name, label=label)
+            if filling is not None:
+                # fold the tracked writes back into the real activation
+                # env — also on an abort, which mutates the env exactly
+                # like an uncached aborted execution would
+                for name in filling.written:
+                    env[name] = filling[name]
+        if filling is not None:
+            cache.store(
+                cache_key,
+                CacheEntry(
+                    result,
+                    self.steps - steps_before,
+                    stmt_counts=dict(stmt_counts) if stmt_counts else None,
+                    env_writes={
+                        name: filling[name] for name in filling.written
+                    },
+                ),
+                fn=fn_name, label=label,
             )
         if self.batching and self._is_deferrable(fragment):
             self.channel.defer("call", hid, fn_name, label, values)
@@ -428,21 +453,10 @@ class HiddenServer:
             self.channel.round_trip("call", hid, fn_name, label, values, result)
         return result
 
-    def _execute(self, activation, fragment, label, values, access, env,
-                 storage_map, fn_name, registry, stmt_counts, steps_before,
-                 wall_t0, cache, verdict, cache_key):
+    def _execute(self, activation, fragment, access, env, storage_map,
+                 fn_name, stmt_counts):
         """Really execute ``fragment`` (a cache miss, an unkeyable call, or
-        caching disabled), filling the cache when the call was keyable."""
-        hid = activation.hid
-        exec_env = env
-        if cache_key is not None:
-            # a filling execution runs against a write-tracking copy: the
-            # stored entry must replay exactly the names the execution
-            # *wrote*.  A value diff against the pre-call env is unsound —
-            # it drops a write whose value happens to equal the name's
-            # previous one, and a later hit in an activation where that
-            # name differs then fails to re-apply the write.
-            exec_env = _WriteTrackingEnv(env)
+        caching disabled) against ``env``."""
         stmt_prefetch, result_reads = None, ()
         if (
             self.batching
@@ -451,7 +465,7 @@ class HiddenServer:
         ):
             stmt_prefetch, result_reads = self._fragment_prefetch(fragment)
         evaluator = _FragmentEvaluator(
-            self, exec_env, access, hid, fn_name, storage_map,
+            self, env, access, activation.hid, fn_name, storage_map,
             activation.receiver_oid, stmt_counts=stmt_counts,
             prefetch_map=stmt_prefetch,
         )
@@ -460,94 +474,29 @@ class HiddenServer:
             if self._compiled is not None
             else None
         )
+        if compiled is not None:
+            for thunk in compiled.body:
+                thunk(evaluator)
+        else:
+            for stmt in fragment.body:
+                evaluator.exec_stmt(stmt)
+        if fragment.result_expr is None:
+            return 0  # the paper's "any" value
         try:
+            # inside the clearing scope: a prefetch aborting after
+            # partially populating the batch cache must not leak entries
+            # into later statements (see prefetch_reads)
+            if result_reads:
+                evaluator.prefetch_reads(result_reads)
             if compiled is not None:
-                for thunk in compiled.body:
-                    thunk(evaluator)
+                result = compiled.result(evaluator)
             else:
-                for stmt in fragment.body:
-                    evaluator.exec_stmt(stmt)
-            if fragment.result_expr is not None:
-                try:
-                    # inside the clearing scope: a prefetch aborting after
-                    # partially populating the batch cache must not leak
-                    # entries into later statements (see prefetch_reads)
-                    if result_reads:
-                        evaluator.prefetch_reads(result_reads)
-                    if compiled is not None:
-                        result = compiled.result(evaluator)
-                    else:
-                        result = evaluator.eval_expr(fragment.result_expr)
-                finally:
-                    evaluator.clear_batch_cache()
-                if fragment.kind == FragmentKind.PRED:
-                    result = bool(result)
-            else:
-                result = 0  # the paper's "any" value
+                result = evaluator.eval_expr(fragment.result_expr)
         finally:
-            # flush even when the fragment aborts (step limit, runtime
-            # error) — partial step/statement counts would otherwise be
-            # dropped from the registry
-            if registry is not None:
-                self._flush_call_metrics(
-                    fn_name, label, stmt_counts, self.steps - steps_before
-                )
-            if self._recorder is not None:
-                self._recorder.fragment(
-                    fn_name, str(label), self.steps - steps_before,
-                    wall_us=round((time.perf_counter() - wall_t0) * 1e6, 1),
-                )
-            # an aborted writer may have mutated the store already, so
-            # the epoch bump sits with the other must-run accounting
-            if (
-                cache is not None
-                and verdict is not None
-                and verdict.writes_hidden_store
-            ):
-                cache.invalidate(fn=fn_name, label=label)
-            if cache_key is not None:
-                # fold the tracked writes back into the real activation
-                # env — also on an abort, which mutates the env exactly
-                # like an uncached aborted execution would
-                for name in exec_env.written:
-                    env[name] = exec_env[name]
-        if cache_key is not None:
-            cache.store(
-                cache_key,
-                CacheEntry(
-                    result,
-                    self.steps - steps_before,
-                    stmt_counts=dict(stmt_counts) if stmt_counts else None,
-                    env_writes={
-                        name: exec_env[name] for name in exec_env.written
-                    },
-                ),
-                fn=fn_name, label=label,
-            )
+            evaluator.clear_batch_cache()
+        if fragment.kind == FragmentKind.PRED:
+            result = bool(result)
         return result
-
-    def _flush_call_metrics(self, fn_name, label, stmt_counts, steps):
-        registry = self._registry
-        label_str = str(label)
-        registry.counter(
-            M_CALLS, help="fragment executions per ILP",
-            fn=fn_name, label=label_str,
-        ).inc()
-        registry.histogram(
-            M_FRAGMENT_STEPS,
-            help="hidden statements executed per fragment call",
-            buckets=STEP_BUCKETS,
-            fn=fn_name,
-            label=label_str,
-        ).observe(steps)
-        registry.counter(
-            M_STEPS, help="statements executed by side", side="hidden"
-        ).inc(steps)
-        for kind, count in stmt_counts.items():
-            registry.counter(
-                M_STMTS, help="statement executions by AST kind",
-                side="hidden", kind=kind,
-            ).inc(count)
 
     def _tick(self):
         self.steps += 1

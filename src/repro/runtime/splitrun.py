@@ -14,14 +14,13 @@ Absolute numbers are arbitrary; the *ratio* after/before — the paper's
 """
 
 from repro import obs
+# exported metric name (documented in docs/OBSERVABILITY.md)
+from repro.obs.metrics import M_RUNS  # noqa: F401 (re-exported)
 from repro.runtime.channel import Channel, LatencyModel
 from repro.runtime import DEFAULT_ENGINE
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.server import HiddenServer
 from repro.runtime.values import RuntimeErr
-
-#: exported metric name (documented in docs/OBSERVABILITY.md)
-M_RUNS = "repro_runs_total"
 
 #: Interpreted-statement cost on the open machine, in microseconds.
 DEFAULT_STMT_COST_US = 1.0
@@ -70,9 +69,7 @@ def run_original(program, entry="main", args=(), max_steps=20_000_000,
     with obs.get_tracer().span("run.original", entry=entry):
         interp = Interpreter(program, max_steps=max_steps, engine=engine)
         value = interp.run(entry, args)
-    registry = obs.get_registry()
-    if registry.enabled:
-        registry.counter(M_RUNS, help="program executions", mode="original").inc()
+    obs.get_registry().metric(M_RUNS, mode="original").inc()
     return RunResult(value, interp.output, interp.steps)
 
 
@@ -114,9 +111,7 @@ def run_split(split_program, entry="main", args=(), latency=None, record=True,
             # transcript, metrics, and flight recorder stay consistent with
             # what actually crossed the channel
             channel.flush_deferred()
-    registry = obs.get_registry()
-    if registry.enabled:
-        registry.counter(M_RUNS, help="program executions", mode="split").inc()
+    obs.get_registry().metric(M_RUNS, mode="split").inc()
     return RunResult(value, interp.output, interp.steps, server.steps, channel)
 
 

@@ -8,6 +8,7 @@ in-process (raw protocol frames over a real socket) and as a subprocess
 """
 
 import contextlib
+import gc
 import json
 import os
 import signal
@@ -16,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -29,11 +31,13 @@ from repro.runtime.remote import (
     M_REJECTED,
     M_SESSION_ERRORS,
     M_SESSIONS,
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ChannelError,
     ChannelProtocolError,
     HiddenComponentServer,
     RemoteHiddenRuntime,
+    _ClientSession,
     _recv,
     _send,
     remote_server,
@@ -332,44 +336,59 @@ def _observed(result):
             result.interactions, events)
 
 
+def _beside_a_paused_session(sp, address, misbehave):
+    """Run ``misbehave()`` while a well-behaved session is paused mid-run
+    with live hidden state; returns its result and the good session's
+    :class:`RunResult`."""
+    channel = _PausingChannel(at=2)
+    runs = []
+
+    def well_behaved():
+        runtime = RemoteHiddenRuntime(address, channel=channel)
+        try:
+            interp = Interpreter(sp.program, hidden_runtime=runtime)
+            value = interp.run("main", (4,))
+            runs.append(RunResult(value, interp.output, interp.steps, 0,
+                                  channel))
+        finally:
+            runtime.close()
+
+    good = threading.Thread(target=well_behaved)
+    good.start()
+    try:
+        assert channel.paused.wait(5.0)
+        outcome = misbehave()
+    finally:
+        channel.release.set()
+        good.join(timeout=10.0)
+    assert len(runs) == 1
+    return outcome, runs[0]
+
+
 @pytest.mark.parametrize("frame", sorted(BAD_FRAMES))
 def test_malformed_frame_is_refused_counted_and_isolated(frame, monkeypatch):
     uncaught = []
     monkeypatch.setattr(threading, "excepthook", uncaught.append)
     prog, sp = make(ALPHA)
+
+    def send_bad_frame():
+        sock, rfile, wfile = _wire(address)
+        try:
+            _recv(rfile)  # handshake
+            wfile.write(BAD_FRAMES[frame])
+            wfile.flush()
+            reply = _recv(rfile)
+            with pytest.raises(ChannelError, match="closed"):
+                _recv(rfile)  # refused, then hung up on
+            return reply
+        finally:
+            _hangup(sock)
+
     with obs.telemetry() as (registry, _tracer):
         with remote_server(sp) as address:
             oracle = _observed(run_split_remote(sp, address, args=(4,)))
-            channel = _PausingChannel(at=2)
-            runs = []
-
-            def well_behaved():
-                runtime = RemoteHiddenRuntime(address, channel=channel)
-                try:
-                    interp = Interpreter(sp.program, hidden_runtime=runtime)
-                    value = interp.run("main", (4,))
-                    runs.append(RunResult(value, interp.output, interp.steps,
-                                          0, channel))
-                finally:
-                    runtime.close()
-
-            good = threading.Thread(target=well_behaved)
-            good.start()
-            try:
-                assert channel.paused.wait(5.0)
-                sock, rfile, wfile = _wire(address)
-                try:
-                    _recv(rfile)  # handshake
-                    wfile.write(BAD_FRAMES[frame])
-                    wfile.flush()
-                    reply = _recv(rfile)
-                    with pytest.raises(ChannelError, match="closed"):
-                        _recv(rfile)  # refused, then hung up on
-                finally:
-                    _hangup(sock)
-            finally:
-                channel.release.set()
-                good.join(timeout=10.0)
+            reply, run = _beside_a_paused_session(sp, address,
+                                                  send_bad_frame)
             assert _poll(lambda: registry.counter(
                 M_SESSION_ERRORS, reason="protocol").value == 1)
             assert registry.counter(
@@ -377,8 +396,95 @@ def test_malformed_frame_is_refused_counted_and_isolated(frame, monkeypatch):
     assert reply["error"].startswith("protocol error: ")
     assert uncaught == []
     # the concurrent session never noticed
-    assert len(runs) == 1 and _observed(runs[0]) == oracle
-    assert runs[0].output == run_original(prog, args=(4,)).output
+    assert _observed(run) == oracle
+    assert run.output == run_original(prog, args=(4,)).output
+
+
+def test_over_long_frame_is_refused_counted_and_isolated(monkeypatch):
+    """Regression: a peer streaming bytes without a newline used to grow
+    the session's read buffer without bound."""
+    uncaught = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
+    prog, sp = make(ALPHA)
+
+    def stream_without_newline():
+        sock, rfile, _wfile = _wire(address)
+
+        def flood():
+            chunk = b"x" * 65536
+            with contextlib.suppress(OSError):
+                for _ in range(2 * MAX_FRAME_BYTES // len(chunk)):
+                    sock.sendall(chunk)
+
+        try:
+            _recv(rfile)  # handshake
+            writer = threading.Thread(target=flood, daemon=True)
+            writer.start()
+            reply = _recv(rfile)
+            writer.join(timeout=10.0)
+            return reply
+        finally:
+            _hangup(sock)
+
+    with obs.telemetry() as (registry, _tracer):
+        with remote_server(sp) as address:
+            oracle = _observed(run_split_remote(sp, address, args=(4,)))
+            reply, run = _beside_a_paused_session(sp, address,
+                                                  stream_without_newline)
+            assert _poll(lambda: registry.counter(
+                M_SESSION_ERRORS, reason="protocol").value == 1)
+    assert reply["error"] == (
+        "protocol error: frame exceeds %d bytes" % MAX_FRAME_BYTES)
+    assert uncaught == []
+    assert _observed(run) == oracle
+    assert run.output == run_original(prog, args=(4,)).output
+
+
+# -- accept loop -------------------------------------------------------------
+
+
+def test_shutdown_before_serve_forever_is_clean(monkeypatch):
+    """Regression: shutdown() before the accept loop first ran killed the
+    accept thread with OSError(EBADF) from configuring the closed
+    listener."""
+    uncaught = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
+    _, sp = make(ALPHA)
+    server = HiddenComponentServer(tenants=[Tenant.from_program("p", sp)])
+    server.shutdown()
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert uncaught == []
+
+
+def test_finished_sessions_leave_no_threads_behind(monkeypatch):
+    """Regression: the accept loop kept every session thread it ever
+    started in a list that was never pruned."""
+    session_threads = []
+    run = _ClientSession.run
+
+    def tracked_run(session):
+        session_threads.append(weakref.ref(threading.current_thread()))
+        run(session)
+
+    monkeypatch.setattr(_ClientSession, "run", tracked_run)
+    prog, sp = make(ALPHA)
+    server = HiddenComponentServer(tenants=[Tenant.from_program("p", sp)])
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        for _ in range(5):
+            result = run_split_remote(sp, server.address, args=(4,))
+            assert result.output == run_original(prog, args=(4,)).output
+        assert _poll(lambda: server.live_sessions() == 0)
+        assert len(session_threads) == 5
+        assert _poll(lambda: gc.collect() is not None and all(
+            ref() is None for ref in session_threads))
+    finally:
+        server.shutdown()
+        thread.join(timeout=5.0)
 
 
 # -- drain -------------------------------------------------------------------

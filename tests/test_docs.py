@@ -61,3 +61,32 @@ def test_checker_sees_this_repos_experiments():
     assert {"table1", "table5", "fig2", "attack"} <= experiments
     assert "rtattr" not in experiments
 
+
+
+def test_checker_sees_the_declaration_table():
+    declared = check_docs.defined_metrics()
+    spec = declared["repro_engine_compile_seconds"]
+    assert spec.kind == "histogram"
+    assert tuple(spec.labels) == ("side", "engine")
+
+
+def test_checker_flags_metric_table_drift(tmp_path):
+    declared = check_docs.defined_metrics()
+    doc = tmp_path / "OBSERVABILITY.md"
+    doc.write_text(
+        "| Metric | Type | Labels | Meaning |\n"
+        "| --- | --- | --- | --- |\n"
+        "| `repro_channel_round_trips_total` | histogram | `kind` | x |\n"
+        "| `repro_engine_compile_seconds` | histogram | `side` | x |\n"
+        "| `repro_engine_total` | counter | `side`, `engine` | x |\n"
+        "| `repro_channel_simulated_ms_total` | counter | — | x |\n"
+    )
+    errors = []
+    check_docs.check_metric_table(doc, doc.read_text(), declared, errors)
+    assert len(errors) == 3, errors
+    assert any("round_trips_total is documented as a histogram" in e
+               for e in errors)
+    assert any("compile_seconds is documented with labels ['side']" in e
+               for e in errors)
+    assert any("repro_engine_total is documented with labels "
+               "['side', 'engine']" in e for e in errors)

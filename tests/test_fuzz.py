@@ -123,6 +123,38 @@ def test_planted_bug_diverges_split_configs_only():
     assert all(d.config != "original-compiled" for d in result.divergences)
 
 
+_TELEMETRY_PAIR = "split-compiled,split-compiled-telemetry"
+
+
+def test_telemetry_cell_matches_its_uninstrumented_twin():
+    source = pretty(generate_program(0)[0])
+    result = oracle.run_matrix(source, [(0, 0)],
+                               configs=oracle.select_configs(_TELEMETRY_PAIR))
+    assert result.split_summary and not result.diverged
+    cell = result.observations[("split-compiled-telemetry", (0, 0))]
+    twin = result.observations[("split-compiled", (0, 0))]
+    assert cell.transcript == twin.transcript and cell.transcript
+    assert cell.telemetry == (len(cell.transcript),) * 2
+    assert twin.telemetry is None
+
+
+def test_telemetry_cell_flags_a_dropped_event(monkeypatch):
+    from repro.obs.events import TelemetrySink
+
+    round_trip = TelemetrySink.round_trip
+
+    def lossy(self, kind, *args, **kwargs):
+        if kind != "open":
+            round_trip(self, kind, *args, **kwargs)
+
+    monkeypatch.setattr(TelemetrySink, "round_trip", lossy)
+    source = pretty(generate_program(0)[0])
+    result = oracle.run_matrix(source, [(0, 0)],
+                               configs=oracle.select_configs(_TELEMETRY_PAIR))
+    assert [(d.config, d.kind) for d in result.divergences] == [
+        ("split-compiled-telemetry", "telemetry")]
+
+
 # -- minimizer ---------------------------------------------------------------
 
 

@@ -145,8 +145,8 @@ def test_tracer_nested_spans_and_sim_time():
     tracer = Tracer()
     with tracer.span("outer"):
         with tracer.span("inner"):
-            tracer.add_sim_ms(2.0)
-        tracer.add_sim_ms(1.0)
+            tracer.event("channel.round_trip", 2.0)
+        tracer.event("channel.round_trip", 1.0)
     summary = tracer.summary()
     assert summary["inner"]["sim_ms"] == pytest.approx(2.0)
     # the parent subsumes the child's simulated time plus its own
@@ -154,14 +154,18 @@ def test_tracer_nested_spans_and_sim_time():
     assert summary["outer"]["wall_s"] >= summary["inner"]["wall_s"]
 
 
-def test_tracer_emit_and_cap():
-    tracer = Tracer(max_spans=2)
-    for i in range(5):
-        tracer.emit("evt", sim_ms=1.0, i=i)
-    assert len(tracer.spans) == 2
-    assert tracer.dropped == 3
-    assert tracer.summary()["evt"]["count"] == 5
-    assert tracer.summary()["evt"]["sim_ms"] == pytest.approx(5.0)
+def test_tracer_event_counts_without_a_span():
+    tracer = Tracer()
+    with tracer.span("phase"):
+        for i in range(5):
+            tracer.event("evt", 1.0)
+    # events are counted in the summary and charged to the open phase
+    summary = tracer.summary()
+    assert summary["evt"]["count"] == 5
+    assert summary["evt"]["sim_ms"] == pytest.approx(5.0)
+    assert summary["evt"]["wall_s"] == 0.0
+    assert summary["phase"]["count"] == 1
+    assert summary["phase"]["sim_ms"] == pytest.approx(5.0)
 
 
 def test_tracer_records_phase_histogram():
@@ -169,7 +173,7 @@ def test_tracer_records_phase_histogram():
     tracer = Tracer(registry=reg)
     with tracer.span("slice"):
         pass
-    tracer.emit("channel.round_trip")  # events are not phases
+    tracer.event("channel.round_trip", 0.0)  # events are not phases
     phases = [
         m for m in reg.collect() if m.name == "repro_phase_seconds"
     ]
@@ -180,7 +184,6 @@ def test_tracer_records_phase_histogram():
 def test_null_tracer_noops():
     with NULL_TRACER.span("x") as s:
         assert s is None
-    NULL_TRACER.add_sim_ms(5)
     assert NULL_TRACER.summary() == {}
 
 

@@ -8,7 +8,6 @@ import pytest
 from repro import obs
 from repro.obs.events import (
     EVENT_FORMATS,
-    NULL_RECORDER,
     FlightRecorder,
     to_chrome,
     to_jsonl,
@@ -67,8 +66,9 @@ def _recorded_run(args=(4,)):
 
 def test_record_sequencing_and_timestamps():
     rec = FlightRecorder()
-    a = rec.channel("call", "f", "0", 3, 40, 0.35)
-    b = rec.fragment("f", "0", 7)
+    a = rec.record("channel", kind="call", fn="f", label="0", values=3,
+                   bytes=40, sim_ms=0.35)
+    b = rec.record("fragment", fn="f", label="0", steps=7, wall_us=0.0)
     assert a["seq"] == 1 and b["seq"] == 2
     assert 0 <= a["ts_us"] <= b["ts_us"]
     assert len(rec) == 2
@@ -79,7 +79,7 @@ def test_record_sequencing_and_timestamps():
 def test_bounded_buffer_evicts_oldest():
     rec = FlightRecorder(max_events=4)
     for i in range(10):
-        rec.fragment("f", str(i), i)
+        rec.record("fragment", fn="f", label=str(i), steps=i, wall_us=0.0)
     assert len(rec) == 4
     assert rec.evicted == 6
     # seq keeps increasing across evictions so consumers can detect the gap
@@ -87,24 +87,16 @@ def test_bounded_buffer_evicts_oldest():
     assert [e["label"] for e in rec.events] == ["6", "7", "8", "9"]
 
 
-def test_null_recorder_noops():
-    assert not NULL_RECORDER.enabled
-    assert NULL_RECORDER.channel("call", "f", "0", 1, 24, 0.1) is None
-    assert NULL_RECORDER.span_open("x", 0) is None
-    assert len(NULL_RECORDER) == 0
-    assert NULL_RECORDER.by_type("channel") == []
-
-
 def test_telemetry_scoping_restores_recorder():
-    assert obs.get_recorder() is NULL_RECORDER
+    assert obs.get_recorder() is None
     rec = FlightRecorder()
     with obs.telemetry(recorder=rec):
         assert obs.get_recorder() is rec
         # a nested session without a recorder must not inherit this one
         with obs.telemetry():
-            assert obs.get_recorder() is NULL_RECORDER
+            assert obs.get_recorder() is None
         assert obs.get_recorder() is rec
-    assert obs.get_recorder() is NULL_RECORDER
+    assert obs.get_recorder() is None
 
 
 # -- schema (golden) ---------------------------------------------------------
@@ -145,7 +137,7 @@ def test_fragment_events_carry_step_counts():
 def test_disabled_telemetry_records_no_events():
     sp = _split()
     run_split(sp, args=(4,), latency=LatencyModel.instant())
-    assert len(obs.get_recorder()) == 0
+    assert obs.get_recorder() is None and obs.get_sink() is None
 
 
 # -- serialisation -----------------------------------------------------------
@@ -199,9 +191,10 @@ def test_write_events_rejects_unknown_format(tmp_path):
 
 def test_chrome_handles_evicted_span_opens():
     rec = FlightRecorder(max_events=2)
-    rec.span_open("phase", 0)
-    rec.fragment("f", "0", 1)
-    rec.span_close("phase", 0, 0.001, 0.0)  # the open has been evicted
+    rec.record("span_open", name="phase", depth=0)
+    rec.record("fragment", fn="f", label="0", steps=1, wall_us=0.0)
+    # the open has been evicted
+    rec.record("span_close", name="phase", depth=0, wall_s=0.001, sim_ms=0.0)
     doc = to_chrome(rec)
     phs = [e["ph"] for e in doc["traceEvents"]]
     # two metadata rows (process + thread name), then the surviving events

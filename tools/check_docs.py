@@ -6,9 +6,11 @@ Failure modes that rot silently:
 1. **Dead relative links** — ``[text](OTHER.md)`` in ``docs/*.md`` (and
    the top-level ``*.md``) pointing at files that do not exist, including
    broken anchors of the form ``FILE.md#section``.
-2. **Stale metric names** — docs citing a ``repro_*`` metric that no
-   ``M_* = "repro_..."`` constant in ``src/`` defines any more (the
-   metric names are a stable interface; see docs/OBSERVABILITY.md).
+2. **Stale metric names** — docs citing a ``repro_*`` metric that the
+   declaration table (``METRICS`` in ``src/repro/obs/metrics.py``) does
+   not declare any more (the metric names are a stable interface; see
+   docs/OBSERVABILITY.md), and rows of the docs/OBSERVABILITY.md metric
+   table whose Type or Labels column disagrees with the declaration.
 3. **Stale CLI surface** — docs/OBSERVABILITY.md, docs/OPERATIONS.md or
    docs/CACHING.md citing an HTTP endpoint the exposition server does not route
    (``ROUTES`` in ``src/repro/obs/httpexpo.py``) or a ``--flag`` no
@@ -28,6 +30,7 @@ dependencies beyond the standard library, so it runs anywhere::
     python tools/check_docs.py
 """
 
+import importlib.util
 import pathlib
 import re
 import sys
@@ -36,10 +39,12 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 #: [text](target) — excluding images and absolute URLs
 _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)#\s]+)(#[A-Za-z0-9_.-]*)?\)")
-#: exported metric constants: M_FOO = "repro_..." (plus the odd
-#: non-M_-prefixed one like PHASE_SECONDS)
-_METRIC_DEF = re.compile(r'^[A-Z][A-Z0-9_]*\s*=\s*"(repro_[a-z0-9_]+)"',
-                         re.MULTILINE)
+#: one row of the docs/OBSERVABILITY.md metric table:
+#: | `name` | type | labels | meaning |
+_METRIC_ROW = re.compile(
+    r"^\| `(repro_[a-z0-9_]+)` \| ([a-z]+) \| ([^|]*) \|", re.MULTILINE)
+#: backticked label names in a Labels cell ("—" when there are none)
+_LABEL_NAME = re.compile(r"`([a-z_]+)`")
 #: metric mentions in docs (prometheus names; histogram suffixes stripped)
 _METRIC_USE = re.compile(r"\brepro_[a-z0-9_]+\b")
 #: suffixes the prometheus exposition appends to histogram names
@@ -90,10 +95,14 @@ def doc_files():
 
 
 def defined_metrics():
-    names = set()
-    for path in (REPO / "src").rglob("*.py"):
-        names.update(_METRIC_DEF.findall(path.read_text(encoding="utf-8")))
-    return names
+    """The declaration table, ``{name: MetricSpec}``.  ``metrics.py`` has
+    no dependencies beyond the standard library, so it is loaded straight
+    from its file, without importing the package."""
+    path = REPO / "src/repro/obs/metrics.py"
+    spec = importlib.util.spec_from_file_location("_declared_metrics", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return dict(module.METRICS)
 
 
 def check_links(path, text, errors):
@@ -125,6 +134,23 @@ def check_metrics(path, text, known, errors):
                 "%s: stale metric name %r (no M_* constant defines it)"
                 % (_rel(path), name)
             )
+
+
+def check_metric_table(path, text, declared, errors):
+    """Every row of the metric table must carry its declared type and
+    label names (in declaration order)."""
+    for name, kind, labels in _METRIC_ROW.findall(text):
+        spec = declared.get(name)
+        if spec is None:
+            continue  # check_metrics reports undeclared names
+        if kind != spec.kind:
+            errors.append("%s: %s is documented as a %s, declared as a %s"
+                          % (_rel(path), name, kind, spec.kind))
+        names = tuple(_LABEL_NAME.findall(labels))
+        if names != tuple(spec.labels):
+            errors.append(
+                "%s: %s is documented with labels %s, declared with %s"
+                % (_rel(path), name, list(names), list(spec.labels)))
 
 
 def defined_routes():
@@ -220,8 +246,8 @@ def check_cli_surface(path, text, routes, flags, errors, repro_lines_only=False)
 def main():
     known = defined_metrics()
     if not known:
-        print("check_docs: found no M_* metric constants under src/ — "
-              "the definition regex is broken", file=sys.stderr)
+        print("check_docs: the METRICS declaration table in "
+              "src/repro/obs/metrics.py is empty", file=sys.stderr)
         return 1
     routes = defined_routes()
     flags = defined_flags()
@@ -243,6 +269,8 @@ def main():
             check_paths(path, text, experiments, errors)
         if path.name != "ROADMAP.md":  # the roadmap names future surface
             check_subcommands(path, text, subcommands, errors)
+        if path.name == "OBSERVABILITY.md":
+            check_metric_table(path, text, known, errors)
         if path.name in ("OBSERVABILITY.md", "OPERATIONS.md", "CACHING.md"):
             check_cli_surface(path, text, routes, flags, errors)
         elif path.name == "TESTING.md":
