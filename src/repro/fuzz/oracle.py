@@ -26,20 +26,26 @@ only in execution strategy must also agree on the fine-grained accounting:
   the engine-equivalence bar (steps *and* transcripts) against
   their uncached counterparts, and the socket cell's cache hello is
   uncounted like the trace hello;
-* ``split-compiled-telemetry`` — ``split-compiled`` with metrics and the
-  flight recorder on: instrumentation must not perturb what it observes,
-  so it is held to the same bar against ``split-compiled``, and the
+* ``split-compiled-telemetry`` / ``split-codegen-telemetry`` —
+  ``split-compiled`` / ``split-codegen`` with metrics and the flight
+  recorder on: instrumentation must not perturb what it observes, so
+  each is held to the same bar against its plain cell, and the
   registry's round-trip counter, the transcript length and the
-  recorder's ``channel`` event count must all agree.
+  recorder's ``channel`` event count must all agree.  Each side that
+  executed statements must also have counted some, and no more than its
+  steps: codegen bakes the counters into the generated source, so this
+  catches a lowered body shared between a counting and a plain run.
 
 A program whose automatic selection finds nothing to split (or where an
 explicit choice raises ``SplitError``) skips the split configurations —
 that is a selection outcome, not a divergence.
 """
 
+import threading
+
 from repro import obs
 # exported metric names (documented in docs/OBSERVABILITY.md)
-from repro.obs.metrics import M_DIVERGENCES, M_PROGRAMS, M_ROUND_TRIPS
+from repro.obs.metrics import M_DIVERGENCES, M_PROGRAMS, M_ROUND_TRIPS, M_STMTS
 from repro.core.pipeline import split_source
 from repro.core.splitter import SplitError
 from repro.runtime.channel import LatencyModel
@@ -101,9 +107,23 @@ CONFIGS = (
            cache=True),
     Config("split-compiled-telemetry", split=True, engine="compiled",
            telemetry=True),
+    Config("split-codegen-telemetry", split=True, engine="codegen",
+           telemetry=True),
 )
 
 CONFIG_NAMES = tuple(c.name for c in CONFIGS)
+
+#: telemetry cell -> the plain cell it must be bit-identical to
+_TELEMETRY_CELLS = {
+    "split-compiled-telemetry": "split-compiled",
+    "split-codegen-telemetry": "split-codegen",
+}
+
+#: Telemetry scopes are process-wide (repro.obs): a run another campaign
+#: thread (``--jobs``) started while a telemetry cell is active would
+#: report into that cell's registry.  So runs and socket-server start-ups
+#: take turns; under the GIL the campaign loses little by it.
+_RUN_LOCK = threading.Lock()
 
 #: accounting cross-checks between configurations that must carry the
 #: same traffic: (left, right, hello_delta) — left's round-trip count
@@ -127,6 +147,7 @@ _TRAFFIC_PAIRS = (
     ("split-cache-codegen", "split-codegen", 0),
     ("socket-cache", "split-cache", 0),
     ("split-compiled-telemetry", "split-compiled", 0),
+    ("split-codegen-telemetry", "split-codegen", 0),
 )
 
 
@@ -162,8 +183,8 @@ class Observation:
         #: cost_ms)``
         self.transcript = tuple(transcript)
         self.error = error
-        #: ``(registry round trips, recorder channel events)`` for a
-        #: telemetry cell, else None
+        #: ``(registry round trips, recorder channel events, {side:
+        #: counted statements})`` for a telemetry cell, else None
         self.telemetry = None
 
 
@@ -231,8 +252,12 @@ def _observe_with_telemetry(thunk):
     recorder = FlightRecorder()
     with obs.telemetry(recorder=recorder) as (registry, _tracer):
         observation = _observe(thunk)
+    stmts = {"open": 0, "hidden": 0}
+    for metric in registry.collect():
+        if metric.name == M_STMTS:
+            stmts[metric.labels["side"]] += metric.value
     observation.telemetry = (registry.total(M_ROUND_TRIPS),
-                             len(recorder.by_type("channel")))
+                             len(recorder.by_type("channel")), stmts)
     return observation
 
 
@@ -295,7 +320,7 @@ def _diff_accounting(result, present, args):
                      # transcript of the execution it memoized
                      ("split-cache", "split-compiled"),
                      ("split-cache-codegen", "split-codegen"),
-                     ("split-compiled-telemetry", "split-compiled")):
+                     *_TELEMETRY_CELLS.items()):
         a, b = (present.get(n) for n in eng_pair)
         if a is None or b is None or a.error or b.error:
             continue
@@ -314,17 +339,26 @@ def _diff_accounting(result, present, args):
                 "event %d: %r vs %r"
                 % (i + 1, a.transcript[i:i + 1], b.transcript[i:i + 1]),
                 args))
-    name = "split-compiled-telemetry"
-    cell = present.get(name)
-    if cell is not None and not cell.error:
+    for name in _TELEMETRY_CELLS:
+        cell = present.get(name)
+        if cell is None or cell.error:
+            continue
         # the three views of the traffic must agree
-        counted, recorded = cell.telemetry
+        counted, recorded, stmts = cell.telemetry
         if not counted == len(cell.transcript) == recorded:
             found.append(Divergence(
                 name, name, "telemetry",
                 "%d registry round trips, %d transcript events, %d recorder "
                 "channel events" % (counted, len(cell.transcript), recorded),
                 args))
+        steps = {"open": cell.steps_open, "hidden": cell.steps_hidden}
+        for side in ("open", "hidden"):
+            if (stmts[side] > 0) != (steps[side] > 0) or \
+                    stmts[side] > steps[side]:
+                found.append(Divergence(
+                    name, name, "telemetry",
+                    "%s side: %d statements counted in %d steps"
+                    % (side, stmts[side], steps[side]), args))
     for left, right, hello in _TRAFFIC_PAIRS:
         a, b = present.get(left), present.get(right)
         if a is None or b is None or a.error or b.error:
@@ -386,18 +420,21 @@ def run_matrix(source, arg_sets, configs=None, choices=None, hide=None,
         from repro.runtime.remote import remote_server
 
         server_ctx = remote_server(sp)
-        address = server_ctx.__enter__()
+        with _RUN_LOCK:
+            address = server_ctx.__enter__()
     try:
         for args in arg_sets:
-            base = _observe(lambda: run_original(
-                program, args=args, max_steps=max_steps, engine="ast"))
+            with _RUN_LOCK:
+                base = _observe(lambda: run_original(
+                    program, args=args, max_steps=max_steps, engine="ast"))
             result.observations[(BASELINE, args)] = base
             present = {}
             for config in configs:
                 if config.split and sp is None:
                     continue
-                obs_ = _run_config(config, program, sp, address, args,
-                                   max_steps)
+                with _RUN_LOCK:
+                    obs_ = _run_config(config, program, sp, address, args,
+                                       max_steps)
                 result.observations[(config.name, args)] = obs_
                 present[config.name] = obs_
                 result.divergences.extend(

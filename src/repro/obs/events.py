@@ -42,7 +42,7 @@ Event schema (``type`` field):
 ``trace_sync``   ``send_us, recv_us, server_us, offset_us,
                  skew_bound_us`` — one clock-alignment handshake
 ``deopt``        ``side, fn, reason, where`` — one codegen fallback to
-                 the closure tier, with its reason code and source
+                 the AST tier, with its reason code and source
                  location (docs/OBSERVABILITY.md, "Deopt attribution")
 ``cache``        ``event, fn, label, program`` — one fragment-cache
                  transition (``hit``/``miss``/``evict``/
@@ -424,7 +424,7 @@ class TelemetrySink:
         self._metric(M_COMPILE_SECONDS, side, engine).observe(seconds)
 
     def deopt(self, side, fn, reason, where):
-        """One codegen fallback to the closure tier, with its reason code
+        """One codegen fallback to the AST tier, with its reason code
         and source location (``""`` when unknown)."""
         self._metric(M_DEOPT, side, reason).inc()
         if self.recorder is not None:

@@ -90,6 +90,8 @@ PHASE_SECONDS = _declare("repro_phase_seconds", "histogram", "phase",
 M_RUNS = _declare("repro_runs_total", "counter", "mode", "program executions")
 M_ENGINE = _declare("repro_engine_total", "counter", "engine side",
                     "execution engine instantiations by side")
+# lowered code belongs to the program (docs/ENGINE.md): compile and deopt
+# events fire once per process per program, not once per run or session
 M_COMPILE_SECONDS = _declare("repro_engine_compile_seconds", "histogram",
                              "side engine",
                              "compilation wall seconds per function/fragment")
@@ -107,8 +109,9 @@ M_OPS = _declare("repro_remote_ops_total", "counter", "program",
 M_EXEC_SECONDS = _declare("repro_remote_exec_seconds", "histogram", "program",
                           "server-side execution seconds per protocol op",
                           RT_PHASE_BUCKETS)
-M_DEOPT = _declare("repro_codegen_deopt_total", "counter", "side reason",
-                   "codegen deopt fallbacks to the closure tier")
+M_DEOPT = _declare(
+    "repro_codegen_deopt_total", "counter", "side reason",
+    "codegen deopt fallbacks to the AST tier, once per process per program")
 M_LOADGEN_OPS = _declare("repro_loadgen_ops_total", "counter", "kind",
                          "synthetic client ops answered")
 M_LOADGEN_ERRORS = _declare("repro_loadgen_errors_total", "counter", "reason",

@@ -370,7 +370,7 @@ def render_deopt_report(report):
     total = report["total"]
     if not total and not report["sites"]:
         return "codegen deopt attribution: no deopts recorded"
-    lines = ["codegen deopt attribution: %d fallback(s) to the closure tier"
+    lines = ["codegen deopt attribution: %d fallback(s) to the AST tier"
              % total]
     for reason, count in sorted(report["by_reason"].items(),
                                 key=lambda item: (-item[1], item[0])):

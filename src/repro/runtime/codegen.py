@@ -18,35 +18,26 @@ exactly, including which sub-expression runs before which check fires.
 
 Anything the generator cannot lower (or that trips CPython's ``compile``
 limits, e.g. pathological nesting depth) *deopts*: the function or
-fragment silently falls back to the closure tier, counted in
-``repro_codegen_deopt_total``.  Compilation is lazy and cached per
-function/fragment like the closure tier; wall-clock cost lands in
+fragment silently falls back to the AST tier, counted in
+``repro_codegen_deopt_total``.  The lowering table in
+:mod:`repro.runtime.compile` memoizes what this module returns, once per
+process per program, and records its wall-clock cost in
 ``repro_engine_compile_seconds{engine="codegen"}``.
 """
 
-import time
+import re
 
 from repro import obs
-# deopt events (function/fragment fell back to the closure tier), labelled
+# deopt events (function/fragment fell back to the AST tier), labelled
 # ``side`` (open|hidden) and ``reason`` (the classified cause below)
-from repro.obs.metrics import M_DEOPT  # noqa: F401 (re-exported)
+from repro.obs.metrics import (  # noqa: F401 (re-exported)
+    M_COMPILE_SECONDS,
+    M_DEOPT,
+)
 from repro.lang import ast
 from repro.obs import profile as _profile
 from repro.lang.typecheck import BUILTIN_SIGNATURES
 from repro.core.prefetch import resolve_prefetch
-from repro.runtime.compile import (
-    M_COMPILE_SECONDS,  # noqa: F401 (re-exported for tooling)
-    CompiledFragment,
-    OpenCompiler,
-    _Break,
-    _Continue,
-    _FragmentCompiler,
-    _MISSING,
-    _Return,
-    _hidden_truthy,
-    _observe_compile,
-    _open_truthy,
-)
 from repro.runtime.values import (
     BINARY_OPS,
     UNARY_OPS,
@@ -54,6 +45,10 @@ from repro.runtime.values import (
     ObjectValue,
     RuntimeErr,
     StepLimitExceeded,
+    _Break,
+    _Continue,
+    _hidden_truthy,
+    _open_truthy,
     binary_op,
     call_builtin,
     default_value,
@@ -66,6 +61,9 @@ DEOPT_COMPILE_LIMIT = "compile-limit"  # CPython's compile() limits tripped
 DEOPT_INTERNAL = "internal-error"  # generator bug: unexpected exception
 
 _INF = float("inf")
+
+#: batch-cache miss sentinel (prefetched values may legitimately be falsy)
+_MISSING = object()
 
 _op_add = BINARY_OPS["+"]
 _op_sub = BINARY_OPS["-"]
@@ -290,6 +288,51 @@ _EXEC_GLOBALS = {
 }
 
 
+#: prologue bindings, emitted (in this order) only when the generated
+#: body names them: open functions, fragment bodies, fragment results
+_OPEN_BINDINGS = (
+    ("_L", "env.locals"),
+    ("_G", "I.globals"),
+    ("_h", "I.hidden"),
+    ("_call", "I.call_function"),
+    ("_lk", "I.lookup"),
+    ("_as", "I.assign_name"),
+    ("_oa", "I.open_access"),
+)
+_FRAG_BINDINGS = (
+    ("_env", "ev.env"),
+    ("_pm", "ev.prefetch_map"),
+    ("_bc", "ev._batch_cache"),
+    ("_HG", "server.hidden_globals"),
+    ("_ifd", "ev._instance_fields"),
+    ("_cfi", "ev._cb_fetch_index"),
+    ("_csi", "ev._cb_store_index"),
+    ("_cff", "ev._cb_fetch_field"),
+    ("_csf", "ev._cb_store_field"),
+)
+_RESULT_BINDINGS = (
+    ("_env", "ev.env"),
+    ("_bc", "ev._batch_cache"),
+    ("_HG", "ev.server.hidden_globals"),
+    ("_ifd", "ev._instance_fields"),
+    ("_cfi", "ev._cb_fetch_index"),
+    ("_cff", "ev._cb_fetch_field"),
+)
+
+_IDENTIFIER = re.compile(r"\b[A-Za-z_]\w*")
+
+
+def _identifiers(text):
+    """Every identifier token in generated source ``text``."""
+    return set(_IDENTIFIER.findall(text))
+
+
+def _bind(w, names, bindings):
+    for binding, source in bindings:
+        if binding in names:
+            w.line("%s = %s" % (binding, source))
+
+
 class _Writer:
     """Indentation-aware line buffer for generated source."""
 
@@ -340,77 +383,208 @@ def _has_direct_continue(stmts):
     return False
 
 
-# -- open-side generator -------------------------------------------------------
+# -- shared generator ----------------------------------------------------------
 
 
-class OpenCodegen:
-    """Lazily lowers one program's function bodies to Python source.
+class _Codegen:
+    """What the open-function and fragment generators share: the line
+    writer, constants, temporaries, evaluation-order hoisting, step
+    ticks, literals, unary and binary operators, and conditions."""
 
-    One instance per Interpreter running ``engine="codegen"``.  ``body(fn)``
-    returns a callable ``(I, env) -> return value`` (native Python
-    ``return``); the cache is keyed by the ``Function`` node, exactly like
-    :class:`~repro.runtime.compile.OpenCompiler`.
-    """
+    #: the step-limit raise and the truthiness helper of the side
+    _LIMIT = _TRUTHY = None
 
-    __slots__ = ("_functions", "_methods", "_classes", "_globals", "_counting",
-                 "_cache", "_fallback")
-
-    def __init__(self, functions, methods, classes, globals_names, counting):
-        self._functions = functions
-        self._methods = methods
-        self._classes = classes
-        self._globals = frozenset(globals_names)
-        self._counting = counting
-        self._cache = {}
-        self._fallback = None
-
-    def body(self, fn):
-        run = self._cache.get(fn)
-        if run is None:
-            started = time.perf_counter()
-            try:
-                run = _FnCodegen(self, fn).build()
-                _profile.register_code(
-                    run.__code__, fn.qualified_name, "codegen", "open"
-                )
-            except Exception as exc:
-                run = self._deopt(fn, exc)
-            self._cache[fn] = run
-            _observe_compile("open", time.perf_counter() - started,
-                             engine="codegen")
-        return run
-
-    def _deopt(self, fn, exc):
-        """Closure-tier fallback for one function the generator refused."""
-        _record_deopt("open", fn.qualified_name, exc, fn.line)
-        if self._fallback is None:
-            self._fallback = OpenCompiler(
-                self._functions, self._methods, self._classes
-            )
-        thunks = tuple(self._fallback.compile_stmt(s, fn) for s in fn.body)
-
-        def run(I, env):
-            try:
-                for t in thunks:
-                    t(I, env)
-            except _Return as r:
-                return r.value
-            return None
-
-        return run
-
-
-class _FnCodegen:
-    """Emits the Python source for one open function body."""
-
-    def __init__(self, owner, fn):
-        self.owner = owner
-        self.fn = fn
+    def __init__(self, counting):
+        self.counting = counting
         self.w = _Writer()
         self.consts = {}
         self._const_ids = {}
         self._ntmp = 0
         self._nconst = 0
+        self.kinds = set()
+
+    def temp(self):
+        self._ntmp += 1
+        return "_t%d" % self._ntmp
+
+    def const(self, obj):
+        key = id(obj)
+        name = self._const_ids.get(key)
+        if name is None:
+            name = "_k%d" % self._nconst
+            self._nconst += 1
+            self._const_ids[key] = name
+            self.consts[name] = obj
+        return name
+
+    def _as_temp(self, code):
+        """Ensure ``code`` is a name (so it can be referenced repeatedly)."""
+        if code.isidentifier():
+            return code
+        t = self.temp()
+        self.w.line("%s = %s" % (t, code))
+        return t
+
+    def _seq(self, exprs):
+        """Compile ``exprs`` in evaluation order, hoisting earlier results
+        to temps whenever a later sibling emits statements."""
+        emits_after = []
+        flag = False
+        for e in reversed(exprs):
+            emits_after.append(flag)
+            flag = flag or self._emits(e)
+        emits_after.reverse()
+        out = []
+        for e, hoist in zip(exprs, emits_after):
+            code, typ, atomic = self.expr(e)
+            if hoist and not atomic:
+                t = self.temp()
+                self.w.line("%s = %s" % (t, code))
+                code, atomic = t, True
+            out.append((code, typ))
+        return out
+
+    def tick(self, kind=None):
+        self.w.line("_s += 1")
+        self.w.line("if _s > _lim: %s" % self._LIMIT)
+        if kind is not None and self.counting:
+            self.w.line("_n_%s += 1" % kind)
+            self.kinds.add(kind)
+
+    def _counters(self, w, source):
+        """The prologue binding the statement-kind counters."""
+        if self.counting:
+            w.line("_C = %s" % source)
+            for kind in sorted(self.kinds):
+                w.line("_n_%s = 0" % kind)
+
+    def _flush_counters(self, w):
+        if self.counting:
+            for kind in sorted(self.kinds):
+                w.line('if _n_%s: _C["%s"] = _C.get("%s", 0) + _n_%s'
+                       % (kind, kind, kind, kind))
+
+    def _exec(self, src, filename):
+        """Compile and run generated ``src``; returns its namespace."""
+        glb = dict(_EXEC_GLOBALS)
+        glb.update(self.consts)
+        exec(compile(src, filename, "exec"), glb)
+        return glb
+
+    def cond(self, expr):
+        """Compile ``expr`` as a Python boolean condition (AST truthiness)."""
+        code, typ, _atomic = self.expr(expr)
+        if typ == "bool":
+            return code
+        if typ == "int":
+            return "(%s != 0)" % code
+        return "%s(%s)" % (self._TRUTHY, code)
+
+    def _scalar(self, expr):
+        """``(code, type, atomic)`` for a literal or unary operator, else
+        ``None``."""
+        if isinstance(expr, ast.BoolLit):
+            return ("True" if expr.value else "False"), "bool", True
+        if isinstance(expr, ast.IntLit):
+            return repr(expr.value), "int", True
+        if isinstance(expr, ast.FloatLit):
+            return repr(expr.value), "float", True
+        if not isinstance(expr, ast.UnaryOp):
+            return None
+        code, typ, _atomic = self.expr(expr.operand)
+        if expr.op == "-":
+            if typ in ("int", "float"):
+                return "(-%s)" % code, typ, False
+            return "_gneg(%s)" % code, None, False
+        if expr.op == "!":
+            if typ == "bool":
+                return "(not %s)" % code, "bool", False
+            return "_gnot(%s)" % code, "bool", False
+        t = self._as_temp(code)
+        self.w.line("_err(%s)" % self.const(
+            "unknown unary operator %r" % expr.op))
+        return t, None, True
+
+    def _binary(self, expr):
+        w = self.w
+        op = expr.op
+
+        if op in ("&&", "||"):
+            keyword = "and" if op == "&&" else "or"
+            if not self._emits(expr.right):
+                lcode = self.cond(expr.left)
+                rcode = self.cond(expr.right)
+                return "(%s %s %s)" % (lcode, keyword, rcode), "bool", False
+            # impure right-hand side: short-circuit via an if-block
+            t = self.temp()
+            w.line("%s = %s" % (t, self.cond(expr.left)))
+            w.line("if %s%s:" % ("" if op == "&&" else "not ", t))
+            w.indent()
+            w.line("%s = %s" % (t, self.cond(expr.right)))
+            w.dedent()
+            return t, "bool", True
+
+        pieces = self._seq([expr.left, expr.right])
+        (lcode, lt), (rcode, rt) = pieces
+        numeric = ("int", "float")
+
+        if op in ("==", "!="):
+            return "(%s %s %s)" % (lcode, op, rcode), "bool", False
+        if op in ("<", "<=", ">", ">="):
+            if lt in numeric and rt in numeric:
+                return "(%s %s %s)" % (lcode, op, rcode), "bool", False
+            helper = {"<": "_glt", "<=": "_gle", ">": "_ggt", ">=": "_gge"}[op]
+            return "%s(%s, %s)" % (helper, lcode, rcode), "bool", False
+        if op in ("+", "-", "*"):
+            if lt in numeric and rt in numeric:
+                typ = "int" if (lt == "int" and rt == "int") else "float"
+                return "(%s %s %s)" % (lcode, op, rcode), typ, False
+            helper = {"+": "_gadd", "-": "_gsub", "*": "_gmul"}[op]
+            return "%s(%s, %s)" % (helper, lcode, rcode), None, False
+        if op == "/":
+            typ = None
+            if lt in numeric and rt in numeric:
+                typ = "int" if (lt == "int" and rt == "int") else "float"
+            return "_div(%s, %s)" % (lcode, rcode), typ, False
+        if op == "%":
+            typ = "int" if (lt == "int" and rt == "int") else None
+            return "_rem(%s, %s)" % (lcode, rcode), typ, False
+
+        # unknown operator: defer to binary_op for its operand-first
+        # error order
+        t = self.temp()
+        w.line("%s = %s(%s, %s, %s)"
+               % (t, self.const(binary_op), self.const(op), lcode, rcode))
+        return t, None, True
+
+
+# -- open-side generator -------------------------------------------------------
+
+
+def codegen_function(tables, fn, counting, deopt):
+    """Lower one open function body to Python source: a callable
+    ``(I, env) -> return value`` (native Python ``return``).  Any
+    generation failure is counted and falls back to ``deopt(tables, fn,
+    counting)``, the AST tier."""
+    try:
+        run = _FnCodegen(tables, fn, counting).build()
+    except Exception as exc:
+        _record_deopt("open", fn.qualified_name, exc, fn.line)
+        return deopt(tables, fn, counting)
+    _profile.register_code(run.__code__, fn.qualified_name, "codegen", "open")
+    return run
+
+
+class _FnCodegen(_Codegen):
+    """Emits the Python source for one open function body."""
+
+    _LIMIT = "_e_lim(I)"
+    _TRUTHY = "_T"
+
+    def __init__(self, tables, fn, counting):
+        _Codegen.__init__(self, counting)
+        self.tables = tables
+        self.fn = fn
         self.uses_hidden = any(
             isinstance(e, ast.Call) and e.name in ("hopen", "hcall", "hclose")
             for stmt in ast.walk_stmts(fn.body)
@@ -423,7 +597,7 @@ class _FnCodegen:
     def _field_names(self):
         if self.fn.owner is None:
             return frozenset()
-        cls = self.owner._classes.get(self.fn.owner)
+        cls = self.tables.classes.get(self.fn.owner)
         if cls is None:
             return frozenset()
         return frozenset(f.name for f in cls.fields)
@@ -442,7 +616,7 @@ class _FnCodegen:
         """
         fn = self.fn
         fields = self._field_names()
-        globals_names = self.owner._globals
+        globals_names = self.tables.globals
         declared = {}  # name -> declared Type (param or first VarDecl)
         for p in fn.params:
             declared[p.name] = p.param_type
@@ -612,20 +786,6 @@ class _FnCodegen:
 
     # -- emission helpers ------------------------------------------------------
 
-    def temp(self):
-        self._ntmp += 1
-        return "_t%d" % self._ntmp
-
-    def const(self, obj):
-        key = id(obj)
-        name = self._const_ids.get(key)
-        if name is None:
-            name = "_k%d" % self._nconst
-            self._nconst += 1
-            self._const_ids[key] = name
-            self.consts[name] = obj
-        return name
-
     def _emits(self, expr):
         """True when compiling ``expr`` produces prologue statements (so
         siblings evaluated earlier must be hoisted to preserve order)."""
@@ -643,37 +803,10 @@ class _FnCodegen:
             return self._emits(expr.size)
         return True  # unknown nodes compile to a hoisted raise
 
-    def _seq(self, exprs):
-        """Compile ``exprs`` in evaluation order, hoisting earlier results
-        to temps whenever a later sibling emits statements."""
-        emits_after = []
-        flag = False
-        for e in reversed(exprs):
-            emits_after.append(flag)
-            flag = flag or self._emits(e)
-        emits_after.reverse()
-        out = []
-        for e, hoist in zip(exprs, emits_after):
-            code, typ, atomic = self.expr(e)
-            if hoist and not atomic:
-                t = self.temp()
-                self.w.line("%s = %s" % (t, code))
-                code, atomic = t, True
-            out.append((code, typ))
-        return out
-
     # -- statements ------------------------------------------------------------
-
-    def tick(self, kind=None):
-        self.w.line("_s += 1")
-        self.w.line("if _s > _lim: _e_lim(I)")
-        if kind is not None and self.owner._counting:
-            self.w.line("_n_%s += 1" % kind)
-            self.kinds.add(kind)
 
     def build(self):
         fn = self.fn
-        self.kinds = set()
         body_w = _Writer()
         outer = self.w
         self.w = body_w
@@ -691,29 +824,11 @@ class _FnCodegen:
         w.line("_s = I.steps")
         w.line("_lim = I.max_steps")
         w.line("if _lim is None: _lim = _INF")
-        import re
-        def used(name):
-            return re.search(r"\b%s\b" % name, body_text) is not None
-        if used("_L") or self.regs and any(
-            p.name in self.regs for p in fn.params
-        ):
-            w.line("_L = env.locals")
-        if used("_G"):
-            w.line("_G = I.globals")
-        if used("_h"):
-            w.line("_h = I.hidden")
-        if used("_call"):
-            w.line("_call = I.call_function")
-        if used("_lk"):
-            w.line("_lk = I.lookup")
-        if used("_as"):
-            w.line("_as = I.assign_name")
-        if used("_oa"):
-            w.line("_oa = I.open_access")
-        if self.owner._counting:
-            w.line("_C = I._stmt_counts")
-            for kind in sorted(self.kinds):
-                w.line("_n_%s = 0" % kind)
+        names = _identifiers(body_text)
+        if any(p.name in self.regs for p in fn.params):
+            names.add("_L")
+        _bind(w, names, _OPEN_BINDINGS)
+        self._counters(w, "I._stmt_counts")
         for p in fn.params:
             if p.name in self.regs:
                 w.line('%s = _L["%s"]' % (self.regs[p.name], p.name))
@@ -722,18 +837,10 @@ class _FnCodegen:
         w.line("finally:")
         w.indent()
         w.line("I.steps = _s")
-        if self.owner._counting:
-            for kind in sorted(self.kinds):
-                w.line('if _n_%s: _C["%s"] = _C.get("%s", 0) + _n_%s'
-                       % (kind, kind, kind, kind))
+        self._flush_counters(w)
         w.dedent()
         w.dedent()
-
-        src = w.text()
-        glb = dict(_EXEC_GLOBALS)
-        glb.update(self.consts)
-        code = compile(src, "<codegen:%s>" % fn.qualified_name, "exec")
-        exec(code, glb)
+        glb = self._exec(w.text(), "<codegen:%s>" % fn.qualified_name)
         return glb["__gen"]
 
     def stmt(self, stmt, loop):
@@ -940,46 +1047,23 @@ class _FnCodegen:
         w.line("_err(%s)" % self.const("invalid assignment target %r"
                                        % (target,)))
 
-    def _as_temp(self, code):
-        """Ensure ``code`` is a name (so it can be referenced repeatedly)."""
-        if code.isidentifier():
-            return code
-        t = self.temp()
-        self.w.line("%s = %s" % (t, code))
-        return t
-
     def _is_pure_global(self, name):
         """Reads/writes of ``name`` go straight to ``I.globals``: it can
         never be a local of this function, never a receiver field."""
         return (
             self.fn.owner is None
-            and name in self.owner._globals
+            and name in self.tables.globals
             and name not in self.regs
         )
-
-    # -- conditions ------------------------------------------------------------
-
-    def cond(self, expr):
-        """Compile ``expr`` as a Python boolean condition (AST truthiness)."""
-        code, typ, _atomic = self.expr(expr)
-        if typ == "bool":
-            return code
-        if typ == "int":
-            return "(%s != 0)" % code
-        return "_T(%s)" % code
 
     # -- expressions -----------------------------------------------------------
 
     def expr(self, expr):
         """Returns ``(code, type, atomic)``; may emit prologue lines."""
         w = self.w
-
-        if isinstance(expr, ast.BoolLit):
-            return ("True" if expr.value else "False"), "bool", True
-        if isinstance(expr, ast.IntLit):
-            return repr(expr.value), "int", True
-        if isinstance(expr, ast.FloatLit):
-            return repr(expr.value), "float", True
+        scalar = self._scalar(expr)
+        if scalar is not None:
+            return scalar
 
         if isinstance(expr, ast.VarRef):
             name = expr.name
@@ -992,22 +1076,6 @@ class _FnCodegen:
 
         if isinstance(expr, ast.BinaryOp):
             return self._binary(expr)
-
-        if isinstance(expr, ast.UnaryOp):
-            code, typ, atomic = self.expr(expr.operand)
-            if expr.op == "-":
-                if typ in ("int", "float"):
-                    return "(-%s)" % code, typ, False
-                return "_gneg(%s)" % code, None, False
-            if expr.op == "!":
-                if typ == "bool":
-                    return "(not %s)" % code, "bool", False
-                return "_gnot(%s)" % code, "bool", False
-            t = self.temp()
-            w.line("%s = %s" % (t, code))
-            w.line("_err(%s)" % self.const(
-                "unknown unary operator %r" % expr.op))
-            return t, None, True
 
         if isinstance(expr, ast.Call):
             return self._call(expr)
@@ -1051,7 +1119,7 @@ class _FnCodegen:
 
         if isinstance(expr, ast.NewObject):
             cname = expr.class_name
-            cls = self.owner._classes.get(cname)
+            cls = self.tables.classes.get(cname)
             if cls is None:
                 w.line("_err(%s)" % self.const("no class %r" % cname))
                 return "None", None, True
@@ -1066,58 +1134,6 @@ class _FnCodegen:
 
         w.line("_err(%s)" % self.const("cannot evaluate %r" % (expr,)))
         return "None", None, True
-
-    def _binary(self, expr):
-        w = self.w
-        op = expr.op
-
-        if op in ("&&", "||"):
-            keyword = "and" if op == "&&" else "or"
-            if not self._emits(expr.right):
-                lcode = self.cond(expr.left)
-                rcode = self.cond(expr.right)
-                return "(%s %s %s)" % (lcode, keyword, rcode), "bool", False
-            # impure right-hand side: short-circuit via an if-block
-            t = self.temp()
-            w.line("%s = %s" % (t, self.cond(expr.left)))
-            w.line("if %s%s:" % ("" if op == "&&" else "not ", t))
-            w.indent()
-            w.line("%s = %s" % (t, self.cond(expr.right)))
-            w.dedent()
-            return t, "bool", True
-
-        pieces = self._seq([expr.left, expr.right])
-        (lcode, lt), (rcode, rt) = pieces
-        numeric = ("int", "float")
-
-        if op in ("==", "!="):
-            return "(%s %s %s)" % (lcode, op, rcode), "bool", False
-        if op in ("<", "<=", ">", ">="):
-            if lt in numeric and rt in numeric:
-                return "(%s %s %s)" % (lcode, op, rcode), "bool", False
-            helper = {"<": "_glt", "<=": "_gle", ">": "_ggt", ">=": "_gge"}[op]
-            return "%s(%s, %s)" % (helper, lcode, rcode), "bool", False
-        if op in ("+", "-", "*"):
-            if lt in numeric and rt in numeric:
-                typ = "int" if (lt == "int" and rt == "int") else "float"
-                return "(%s %s %s)" % (lcode, op, rcode), typ, False
-            helper = {"+": "_gadd", "-": "_gsub", "*": "_gmul"}[op]
-            return "%s(%s, %s)" % (helper, lcode, rcode), None, False
-        if op == "/":
-            typ = None
-            if lt in numeric and rt in numeric:
-                typ = "int" if (lt == "int" and rt == "int") else "float"
-            return "_div(%s, %s)" % (lcode, rcode), typ, False
-        if op == "%":
-            typ = "int" if (lt == "int" and rt == "int") else None
-            return "_rem(%s, %s)" % (lcode, rcode), typ, False
-
-        # unknown operator: defer to binary_op for its operand-first
-        # error order
-        t = self.temp()
-        w.line("%s = %s(%s, %s, %s)"
-               % (t, self.const(binary_op), self.const(op), lcode, rcode))
-        return t, None, True
 
     def _sync_call(self, lhs, call_code):
         w = self.w
@@ -1146,7 +1162,7 @@ class _FnCodegen:
             typ = self._etype(expr)
             return '_cb("%s", (%s))' % (name, args), typ, False
 
-        target = self.owner._functions.get(name)
+        target = self.tables.functions.get(name)
         if target is not None:
             pieces = self._seq(list(expr.args))
             args = ", ".join(code for code, _t in pieces)
@@ -1155,7 +1171,7 @@ class _FnCodegen:
             return t, None, True
 
         if self.fn.owner is not None:
-            method = self.owner._methods.get((self.fn.owner, name))
+            method = self.tables.methods.get((self.fn.owner, name))
             if method is not None:
                 pieces = self._seq(list(expr.args))
                 args = ", ".join(code for code, _t in pieces)
@@ -1182,7 +1198,7 @@ class _FnCodegen:
         w.line("if %s.__class__ is not _Obj: _e_mnno(%s)" % (tr, tr))
         tm = self.temp()
         w.line('%s = _M.get((%s.class_name, "%s"))' % (tm, tr, expr.name))
-        self.consts["_M"] = self.owner._methods
+        self.consts["_M"] = self.tables.methods
         w.line('if %s is None: _e_nomm(%s, "%s")' % (tm, tr, expr.name))
         pieces = self._seq(list(expr.args))
         args = ", ".join(code for code, _t in pieces)
@@ -1216,7 +1232,7 @@ class _FnCodegen:
 # -- hidden-side generator -----------------------------------------------------
 
 
-class _FragCodegen:
+class _FragCodegen(_Codegen):
     """Emits Python source for one hidden fragment (body + result expr).
 
     Hidden locals stay in the activation ``env`` dict — they persist
@@ -1227,43 +1243,17 @@ class _FragCodegen:
     ``_FragmentEvaluator`` callbacks (channel accounting lives there).
     """
 
+    _LIMIT = "_e_hlim(server)"
+    _TRUTHY = "_HT"
+
     def __init__(self, fragment, storage_map, counting):
+        _Codegen.__init__(self, counting)
         self.fragment = fragment
         self.storage = storage_map
-        self.counting = counting
-        self.w = _Writer()
-        self.consts = {}
-        self._const_ids = {}
-        self._ntmp = 0
-        self._nconst = 0
-        self.kinds = set()
         # which statements *can* carry a prefetch manifest entry: same
         # resolution the server performs at call time, so the generated
         # probe sites line up with the runtime ``prefetch_map`` keys
         self.stmt_map, self.result_reads = resolve_prefetch(fragment)
-
-    # -- shared emission helpers ----------------------------------------------
-
-    def temp(self):
-        self._ntmp += 1
-        return "_t%d" % self._ntmp
-
-    def const(self, obj):
-        key = id(obj)
-        name = self._const_ids.get(key)
-        if name is None:
-            name = "_k%d" % self._nconst
-            self._nconst += 1
-            self._const_ids[key] = name
-            self.consts[name] = obj
-        return name
-
-    def _as_temp(self, code):
-        if code.isidentifier():
-            return code
-        t = self.temp()
-        self.w.line("%s = %s" % (t, code))
-        return t
 
     def _emits(self, expr):
         if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.BoolLit,
@@ -1277,28 +1267,9 @@ class _FragCodegen:
             return self._emits(expr.operand)
         return True
 
-    def _seq(self, exprs):
-        emits_after = []
-        flag = False
-        for e in reversed(exprs):
-            emits_after.append(flag)
-            flag = flag or self._emits(e)
-        emits_after.reverse()
-        out = []
-        for e, hoist in zip(exprs, emits_after):
-            code, typ, atomic = self.expr(e)
-            if hoist and not atomic:
-                t = self.temp()
-                self.w.line("%s = %s" % (t, code))
-                code, atomic = t, True
-            out.append((code, typ))
-        return out
-
     # -- build -----------------------------------------------------------------
 
     def build(self):
-        import re
-
         body_w = _Writer()
         body_w.indent()
         body_w.indent()
@@ -1316,36 +1287,14 @@ class _FragCodegen:
         w.line("_s = server.steps")
         w.line("_lim = server.max_steps")
         w.line("if _lim is None: _lim = _INF")
-
-        def used(name):
-            return re.search(r"\b%s\b" % name, body_text) is not None
-
-        for binding, source in (
-            ("_env", "ev.env"),
-            ("_pm", "ev.prefetch_map"),
-            ("_bc", "ev._batch_cache"),
-            ("_HG", "server.hidden_globals"),
-            ("_ifd", "ev._instance_fields"),
-            ("_cfi", "ev._cb_fetch_index"),
-            ("_csi", "ev._cb_store_index"),
-            ("_cff", "ev._cb_fetch_field"),
-            ("_csf", "ev._cb_store_field"),
-        ):
-            if used(binding):
-                w.line("%s = %s" % (binding, source))
-        if self.counting:
-            w.line("_C = ev.stmt_counts")
-            for kind in sorted(self.kinds):
-                w.line("_n_%s = 0" % kind)
+        _bind(w, _identifiers(body_text), _FRAG_BINDINGS)
+        self._counters(w, "ev.stmt_counts")
         w.line("try:")
         w.lines.extend(body_text.rstrip("\n").split("\n"))
         w.line("finally:")
         w.indent()
         w.line("server.steps = _s")
-        if self.counting:
-            for kind in sorted(self.kinds):
-                w.line('if _n_%s: _C["%s"] = _C.get("%s", 0) + _n_%s'
-                       % (kind, kind, kind, kind))
+        self._flush_counters(w)
         w.dedent()
         w.dedent()
 
@@ -1357,43 +1306,19 @@ class _FragCodegen:
             code, _typ, _atomic = self.expr(self.fragment.result_expr)
             res_w.line("return %s" % code)
             res_text = res_w.text()
-
-            def used_res(name):
-                return re.search(r"\b%s\b" % name, res_text) is not None
-
             w.line("def __res(ev):")
             w.indent()
-            for binding, source in (
-                ("_env", "ev.env"),
-                ("_bc", "ev._batch_cache"),
-                ("_HG", "ev.server.hidden_globals"),
-                ("_ifd", "ev._instance_fields"),
-                ("_cfi", "ev._cb_fetch_index"),
-                ("_cff", "ev._cb_fetch_field"),
-            ):
-                if used_res(binding):
-                    w.line("%s = %s" % (binding, source))
+            _bind(w, _identifiers(res_text), _RESULT_BINDINGS)
             w.lines.extend(res_text.rstrip("\n").split("\n"))
             w.dedent()
 
-        src = w.text()
-        glb = dict(_EXEC_GLOBALS)
-        glb.update(self.consts)
         label = getattr(self.fragment, "label", "?")
-        code = compile(src, "<codegen:fragment#%s>" % (label,), "exec")
-        exec(code, glb)
+        glb = self._exec(w.text(), "<codegen:fragment#%s>" % (label,))
         if self.fragment.result_expr is not None:
             result_fn = glb["__res"]
-        return CompiledFragment((glb["__frag"],), result_fn)
+        return (glb["__frag"],), result_fn
 
     # -- statements ------------------------------------------------------------
-
-    def tick(self, kind=None):
-        self.w.line("_s += 1")
-        self.w.line("if _s > _lim: _e_hlim(server)")
-        if kind is not None and self.counting:
-            self.w.line("_n_%s += 1" % kind)
-            self.kinds.add(kind)
 
     def stmt(self, stmt, loop):
         kind = type(stmt).__name__
@@ -1567,27 +1492,13 @@ class _FragCodegen:
             self._as_temp(vcode)
         w.line("_err(%s)" % self.const("hidden fragment: bad assignment target"))
 
-    # -- conditions ------------------------------------------------------------
-
-    def cond(self, expr):
-        code, typ, _atomic = self.expr(expr)
-        if typ == "bool":
-            return code
-        if typ == "int":
-            return "(%s != 0)" % code
-        return "_HT(%s)" % code
-
     # -- expressions -----------------------------------------------------------
 
     def expr(self, expr):
         w = self.w
-
-        if isinstance(expr, ast.BoolLit):
-            return ("True" if expr.value else "False"), "bool", True
-        if isinstance(expr, ast.IntLit):
-            return repr(expr.value), "int", True
-        if isinstance(expr, ast.FloatLit):
-            return repr(expr.value), "float", True
+        scalar = self._scalar(expr)
+        if scalar is not None:
+            return scalar
 
         if isinstance(expr, ast.VarRef):
             name = expr.name
@@ -1600,21 +1511,6 @@ class _FragCodegen:
 
         if isinstance(expr, ast.BinaryOp):
             return self._binary(expr)
-
-        if isinstance(expr, ast.UnaryOp):
-            code, typ, _atomic = self.expr(expr.operand)
-            if expr.op == "-":
-                if typ in ("int", "float"):
-                    return "(-%s)" % code, typ, False
-                return "_gneg(%s)" % code, None, False
-            if expr.op == "!":
-                if typ == "bool":
-                    return "(not %s)" % code, "bool", False
-                return "_gnot(%s)" % code, "bool", False
-            t = self._as_temp(code)
-            w.line("_err(%s)" % self.const(
-                "unknown unary operator %r" % expr.op))
-            return t, None, True
 
         if isinstance(expr, ast.Call):
             name = expr.name
@@ -1665,70 +1561,16 @@ class _FragCodegen:
             "hidden fragment cannot evaluate %r" % (expr,)))
         return "None", None, True
 
-    def _binary(self, expr):
-        w = self.w
-        op = expr.op
 
-        if op in ("&&", "||"):
-            keyword = "and" if op == "&&" else "or"
-            if not self._emits(expr.right):
-                lcode = self.cond(expr.left)
-                rcode = self.cond(expr.right)
-                return "(%s %s %s)" % (lcode, keyword, rcode), "bool", False
-            t = self.temp()
-            w.line("%s = %s" % (t, self.cond(expr.left)))
-            w.line("if %s%s:" % ("" if op == "&&" else "not ", t))
-            w.indent()
-            w.line("%s = %s" % (t, self.cond(expr.right)))
-            w.dedent()
-            return t, "bool", True
-
-        pieces = self._seq([expr.left, expr.right])
-        (lcode, lt), (rcode, rt) = pieces
-        numeric = ("int", "float")
-
-        if op in ("==", "!="):
-            return "(%s %s %s)" % (lcode, op, rcode), "bool", False
-        if op in ("<", "<=", ">", ">="):
-            if lt in numeric and rt in numeric:
-                return "(%s %s %s)" % (lcode, op, rcode), "bool", False
-            helper = {"<": "_glt", "<=": "_gle", ">": "_ggt", ">=": "_gge"}[op]
-            return "%s(%s, %s)" % (helper, lcode, rcode), "bool", False
-        if op in ("+", "-", "*"):
-            if lt in numeric and rt in numeric:
-                typ = "int" if (lt == "int" and rt == "int") else "float"
-                return "(%s %s %s)" % (lcode, op, rcode), typ, False
-            helper = {"+": "_gadd", "-": "_gsub", "*": "_gmul"}[op]
-            return "%s(%s, %s)" % (helper, lcode, rcode), None, False
-        if op == "/":
-            typ = None
-            if lt in numeric and rt in numeric:
-                typ = "int" if (lt == "int" and rt == "int") else "float"
-            return "_div(%s, %s)" % (lcode, rcode), typ, False
-        if op == "%":
-            typ = "int" if (lt == "int" and rt == "int") else None
-            return "_rem(%s, %s)" % (lcode, rcode), typ, False
-
-        t = self.temp()
-        w.line("%s = %s(%s, %s, %s)"
-               % (t, self.const(binary_op), self.const(op), lcode, rcode))
-        return t, None, True
-
-
-def codegen_fragment(fragment, storage_map, counting):
-    """Lower one hidden fragment to Python source; closure-tier deopt on
-    any generation failure.  Returns a :class:`CompiledFragment`-shaped
-    object (``body`` iterable of callables taking the per-call
-    ``_FragmentEvaluator``, ``result`` callable or ``None``)."""
-    started = time.perf_counter()
+def codegen_fragment(fragment, storage_map, counting, deopt):
+    """Lower one hidden fragment to Python source: ``(body, result)``,
+    ``body`` a tuple of callables taking the per-call
+    ``_FragmentEvaluator``, ``result`` a callable or ``None``.  Any
+    generation failure is counted and falls back to ``deopt(fragment,
+    storage_map, counting)``, the AST tier."""
     name = "fragment#%s" % (getattr(fragment, "label", "?"),)
     try:
-        compiled = _FragCodegen(fragment, storage_map or {}, counting).build()
-        for part in tuple(compiled.body) + (compiled.result,):
-            if part is not None:
-                _profile.register_code(
-                    part.__code__, name, "codegen", "hidden"
-                )
+        body, result = _FragCodegen(fragment, storage_map, counting).build()
     except Exception as exc:
         line = None
         if fragment.body:
@@ -1736,11 +1578,8 @@ def codegen_fragment(fragment, storage_map, counting):
         elif fragment.result_expr is not None:
             line = fragment.result_expr.line
         _record_deopt("hidden", name, exc, line)
-        compiler = _FragmentCompiler(storage_map or {})
-        body = tuple(compiler.compile_stmt(s) for s in fragment.body)
-        result = None
-        if fragment.result_expr is not None:
-            result = compiler.compile_expr(fragment.result_expr)
-        compiled = CompiledFragment(body, result)
-    _observe_compile("hidden", time.perf_counter() - started, engine="codegen")
-    return compiled
+        return deopt(fragment, storage_map, counting)
+    for part in body + (result,):
+        if part is not None:
+            _profile.register_code(part.__code__, name, "codegen", "hidden")
+    return body, result

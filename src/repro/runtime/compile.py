@@ -1,35 +1,70 @@
-"""Closure compilation of function bodies and hidden fragments.
+"""The lowering table: the one module that knows the execution engines.
 
-The ``compiled`` engine lowers each open function body and each hidden
-fragment body to a tree of nested Python closures *once*, then executes
-the closures.  Per execution this removes the ``isinstance`` dispatch
-chains of ``Interpreter.exec_stmt``/``eval_expr`` and the hidden server's
-``_FragmentEvaluator``: operator functions, literal constants, callee
-``Function`` objects, field defaults, storage kinds, and error messages
-are all resolved at compile time and captured in closure cells.
+Every engine in ``repro.runtime.ENGINES`` is one row of :data:`LOWERING`,
+with one entry per side:
 
-Bit-identity contract (pinned by tests/test_engine_equivalence.py): for
-any program the compiled engine produces the same outputs, the same
-``steps``, the same per-statement-kind metric counts, the same channel
-round trips / transcript events, and the same error messages as the AST
-engine.  Every closure therefore replicates the AST walkers' evaluation
-order exactly — including *which sub-expression is evaluated before which
-check fires*.  When editing either engine, change both and let the
-differential suite arbitrate.
+* open side — ``lower(tables, fn, counting)`` returns a callable
+  ``(I, env) -> return value`` for one function body;
+* hidden side — ``lower(fragment, storage_map, counting)`` returns
+  ``(body thunks, result thunk or None)`` for one fragment; the thunks
+  take the per-call ``_FragmentEvaluator``.
 
-Compilation is lazy (a body is lowered on its first execution) and cached
-per function/fragment.  The wall-clock cost lands in the
-``repro_engine_compile_seconds`` histogram; engine selection is counted
-by ``repro_engine_total{engine=...,side=...}``.  See docs/ENGINE.md.
+The rows:
+
+* ``ast`` wraps the unchanged reference walkers
+  (``Interpreter.exec_body`` and ``_FragmentEvaluator.exec_stmt``); it
+  lowers nothing and records no compile;
+* ``compiled`` lowers to trees of nested Python closures (this module's
+  :class:`OpenCompiler` and :class:`_FragmentCompiler`): operator
+  functions, literal constants, callee ``Function`` objects, field
+  defaults, storage kinds and error messages are resolved once and
+  captured in closure cells;
+* ``codegen`` lowers to Python source (:mod:`repro.runtime.codegen`);
+  anything it cannot lower deopts to the ``ast`` row.
+
+Lowered code belongs to the program.  Programs and fragments are
+immutable once loaded, so each result is memoized in a weak store owned
+by its program: open bodies under the ``Program`` object (lowering
+resolves callees, classes and globals through that program's tables, so
+a ``Function`` node shared by two programs is lowered once per program),
+fragments under the fragment object.  Both keys include the engine, and
+codegen's also ``counting`` (whether statement-kind counters are baked
+into the generated source).  Every interpreter and every hidden server —
+every run and every daemon session — running the same program shares the
+same lowered code, so compile and deopt events fire once per process per
+program; a test that counts compiles per run must parse a fresh program.
+A fragment's entry also holds its static facts: deferrability, prefetch
+plan and purity verdict.  The store holds its owners weakly: a dropped
+program releases its lowered code.
+
+Bit-identity contract (pinned by tests/test_engine_equivalence.py and the
+fuzz oracle): for any program every row produces the same outputs, the
+same ``steps``, the same per-statement-kind metric counts, the same
+channel round trips / transcript events, and the same error messages as
+the AST engine.  Every closure therefore replicates the AST walkers'
+evaluation order exactly — including *which sub-expression is evaluated
+before which check fires*.  When editing either engine, change both and
+let the differential suite arbitrate.
+
+Lowering is lazy (a body is lowered on its first execution); its
+wall-clock cost lands in the ``repro_engine_compile_seconds`` histogram,
+and engine selection is counted by ``repro_engine_total{engine=...,
+side=...}``.  See docs/ENGINE.md.
 """
 
+import threading
 import time
+import weakref
 
 from repro import obs
 # exported metric names (documented in docs/OBSERVABILITY.md)
 from repro.obs.metrics import M_COMPILE_SECONDS, M_ENGINE  # noqa: F401
 from repro.lang import ast
 from repro.lang.typecheck import BUILTIN_SIGNATURES
+from repro.core.hidden import FragmentKind
+from repro.core.prefetch import resolve_prefetch, touches_open_aggregates
+from repro.core.purity import classify_fragment
+from repro.runtime import codegen
 from repro.runtime.values import (
     BINARY_OPS,
     UNARY_OPS,
@@ -37,6 +72,11 @@ from repro.runtime.values import (
     ObjectValue,
     RuntimeErr,
     StepLimitExceeded,
+    _Break,
+    _Continue,
+    _Return,
+    _hidden_truthy,
+    _open_truthy,
     binary_op,
     call_builtin,
     default_value,
@@ -53,48 +93,214 @@ from repro.runtime import DEFAULT_ENGINE, ENGINES, validate_engine  # noqa: E402
 _MISSING = object()
 
 
-def _observe_compile(side, seconds, engine="compiled"):
-    """Record one body/fragment lowering in the compile-cost histogram.
+# -- the store ----------------------------------------------------------------
 
-    Labelled by ``side`` *and* ``engine`` so the closure tier's and the
-    codegen tier's compilation costs stay distinguishable in
-    ``/metrics.json`` and ``repro stats`` (docs/ENGINE.md)."""
+#: serialises first lowerings, so threads racing one get the same object
+#: and the compile event fires once
+_LOCK = threading.RLock()
+#: Program -> {"tables": ProgramTables, row key: _Bodies}
+_PROGRAMS = weakref.WeakKeyDictionary()
+#: fragment -> FragmentEntry
+_FRAGMENTS = weakref.WeakKeyDictionary()
+
+
+def _memo(table, key, build, *args):
+    """``table[key]``, built as ``build(*args)`` on first use."""
+    value = table.get(key)
+    if value is None:
+        with _LOCK:
+            value = table.get(key)
+            if value is None:
+                value = build(*args)
+                table[key] = value
+    return value
+
+
+def _row_key(engine, counting):
+    # only generated source bakes the statement-kind counters in
+    return (engine, counting) if engine == "codegen" else engine
+
+
+def _lower(side, engine, build, *args):
+    """Run one lowering; every row but ``ast`` records a compile event,
+    labelled by ``side`` and ``engine`` (docs/ENGINE.md)."""
+    if engine == "ast":
+        return build(*args)
+    started = time.perf_counter()
+    lowered = build(*args)
     sink = obs.get_sink()
     if sink is not None:
-        sink.compiled(side, engine, seconds)
+        sink.compiled(side, engine, time.perf_counter() - started)
+    return lowered
 
 
-# -- control flow shared by both engines ---------------------------------------
-# The interpreter and the server import these, so a break raised by one
-# engine's loop body is always caught by the other's enclosing loop.
+class ProgramTables:
+    """One program's name tables, built once: lowering resolves callees,
+    methods, classes and globals through them, and so does the reference
+    walker."""
 
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
+    __slots__ = ("functions", "methods", "classes", "globals")
 
-
-class _Break(Exception):
-    pass
-
-
-class _Continue(Exception):
-    pass
-
-
-def _open_truthy(value):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return value != 0  # hcall-based predicates return plain values
-    raise RuntimeErr("condition is not a bool: %r" % (value,))
+    def __init__(self, program):
+        self.functions = {fn.name: fn for fn in program.functions}
+        self.classes = {c.name: c for c in program.classes}
+        self.methods = {
+            (cls.name, m.name): m
+            for cls in program.classes for m in cls.methods
+        }
+        self.globals = frozenset(g.name for g in program.globals)
 
 
-def _hidden_truthy(value):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return value != 0
-    raise RuntimeErr("hidden fragment: condition is not a bool: %r" % (value,))
+class _Bodies(dict):
+    """One program's function bodies under one row: ``fn -> callable``,
+    lowered on first lookup, beside the program's ``tables``."""
+
+    __slots__ = ("tables", "_engine", "_counting")
+
+    def __init__(self, tables, engine, counting):
+        dict.__init__(self)
+        self.tables = tables
+        self._engine = engine
+        self._counting = counting
+
+    def __missing__(self, fn):
+        engine = self._engine
+        return _memo(self, fn, _lower, "open", engine, LOWERING[engine][0],
+                     self.tables, fn, self._counting)
+
+
+def open_bodies(program, engine, counting=False):
+    """``program``'s function bodies lowered by ``engine``: a mapping
+    ``fn -> callable (I, env) -> return value`` that lowers each body on
+    its first lookup, with the program's :class:`ProgramTables` as
+    ``tables``.  ``counting`` says whether statement-kind counts are
+    collected (``Interpreter._stmt_counts`` is a dict)."""
+    owned = _memo(_PROGRAMS, program, dict)
+    tables = _memo(owned, "tables", ProgramTables, program)
+    return _memo(owned, _row_key(engine, counting), _Bodies,
+                 tables, engine, counting)
+
+
+class FragmentEntry:
+    """One fragment's static facts and lowered code, each derived once.
+
+    Holds nothing that refers back to the fragment, so the store's weak
+    key can die; the methods therefore take the fragment (and its split
+    function's storage map) as arguments."""
+
+    __slots__ = ("deferrable", "_memo")
+
+    def __init__(self, fragment):
+        #: a call is one-way when the open side ignores its result
+        #: (``set`` and ``stmts`` fragments return the paper's "any"
+        #: value) *and* executing it needs no open-memory callbacks, so
+        #: its effects stay invisible until the next synchronisation
+        #: point anyway (docs/PROTOCOL.md)
+        self.deferrable = fragment.kind in (
+            FragmentKind.SET, FragmentKind.STMTS
+        ) and not touches_open_aggregates(fragment)
+        self._memo = {}
+
+    def prefetch(self, fragment):
+        """``(stmt_map, result_reads)``: the resolved prefetch manifest."""
+        return _memo(self._memo, "prefetch", resolve_prefetch, fragment)
+
+    def purity(self, fragment, storage_map):
+        """The fragment's stamped purity verdict, or an on-demand
+        classification (hand-built registries, pre-purity manifests)."""
+        return _memo(self._memo, "purity", _purity, fragment, storage_map)
+
+    def code(self, fragment, storage_map, engine, counting=False):
+        """``(body thunks, result thunk or None)`` lowered by ``engine``."""
+        return _memo(self._memo, _row_key(engine, counting), _lower,
+                     "hidden", engine, LOWERING[engine][1],
+                     fragment, storage_map or {}, counting)
+
+
+def _purity(fragment, storage_map):
+    if fragment.purity is not None:
+        return fragment.purity
+    return classify_fragment(fragment, storage_map)
+
+
+def fragment_entry(fragment):
+    """``fragment``'s :class:`FragmentEntry`."""
+    return _memo(_FRAGMENTS, fragment, FragmentEntry, fragment)
+
+
+# -- the rows -----------------------------------------------------------------
+
+
+def _ast_function(tables, fn, counting):
+    body = fn.body
+
+    def run(I, env):
+        try:
+            I.exec_body(body, env)
+        except _Return as r:
+            return r.value
+        return None
+
+    return run
+
+
+def _closure_function(tables, fn, counting):
+    compiler = OpenCompiler(tables)
+    thunks = tuple(compiler.compile_stmt(s, fn) for s in fn.body)
+
+    def run(I, env):
+        try:
+            for t in thunks:
+                t(I, env)
+        except _Return as r:
+            return r.value
+        return None
+
+    return run
+
+
+def _codegen_function(tables, fn, counting):
+    return codegen.codegen_function(tables, fn, counting, _ast_function)
+
+
+def _ast_fragment(fragment, storage_map, counting):
+    stmts = fragment.body
+
+    def run(ev):
+        for stmt in stmts:
+            ev.exec_stmt(stmt)
+
+    expr = fragment.result_expr
+    if expr is None:
+        return (run,), None
+
+    def result(ev):
+        return ev.eval_expr(expr)
+
+    return (run,), result
+
+
+def _closure_fragment(fragment, storage_map, counting):
+    compiler = _FragmentCompiler(storage_map)
+    body = tuple(compiler.compile_stmt(s) for s in fragment.body)
+    result = None
+    if fragment.result_expr is not None:
+        result = compiler.compile_expr(fragment.result_expr)
+    return body, result
+
+
+def _codegen_fragment(fragment, storage_map, counting):
+    return codegen.codegen_fragment(fragment, storage_map, counting,
+                                    _ast_fragment)
+
+
+#: engine -> (open-side lowering, hidden-side lowering)
+LOWERING = {
+    "ast": (_ast_function, _ast_fragment),
+    "compiled": (_closure_function, _closure_fragment),
+    "codegen": (_codegen_function, _codegen_fragment),
+}
+assert tuple(LOWERING) == ENGINES
 
 
 # Per-statement accounting, inlined rather than delegated to
@@ -142,40 +348,23 @@ def _iter_tick_hidden(server):
         raise RuntimeErr("hidden server exceeded %d steps" % limit)
 
 
-# -- open-side compiler --------------------------------------------------------
+# -- open-side closure tier ---------------------------------------------------
 
 
 class OpenCompiler:
-    """Lazily lowers one program's function bodies to closure trees.
-
-    One instance per :class:`~repro.runtime.interpreter.Interpreter`; the
-    cache is keyed by the ``Function`` node itself (programs are immutable
-    once loaded, the same invariant the resolution cache relies on), and a
-    body is only compiled the first time it actually runs, so the filler
-    methods of large generated corpora cost nothing.
+    """Lowers one program's function bodies to closure trees.
 
     Statement closures take ``(I, env)`` — the owning ``Interpreter`` and
     the current activation record — so one compiled tree serves every
     activation, exactly like the AST walker.
     """
 
-    __slots__ = ("_functions", "_methods", "_classes", "_cache")
+    __slots__ = ("_functions", "_methods", "_classes")
 
-    def __init__(self, functions, methods, classes):
-        self._functions = functions
-        self._methods = methods
-        self._classes = classes
-        self._cache = {}
-
-    def body(self, fn):
-        """The compiled statement thunks for ``fn``'s body."""
-        thunks = self._cache.get(fn)
-        if thunks is None:
-            started = time.perf_counter()
-            thunks = tuple(self.compile_stmt(s, fn) for s in fn.body)
-            self._cache[fn] = thunks
-            _observe_compile("open", time.perf_counter() - started)
-        return thunks
+    def __init__(self, tables):
+        self._functions = tables.functions
+        self._methods = tables.methods
+        self._classes = tables.classes
 
     # -- statements -----------------------------------------------------------
 
@@ -682,34 +871,7 @@ class OpenCompiler:
         return run
 
 
-# -- hidden-side compiler ------------------------------------------------------
-
-
-class CompiledFragment:
-    """One hidden fragment lowered to closures.
-
-    ``body`` is a tuple of statement thunks, ``result`` the result-expression
-    thunk (or ``None``).  Thunks take the per-call ``_FragmentEvaluator``,
-    which still owns the callback/round-trip machinery and the batch cache.
-    """
-
-    __slots__ = ("body", "result")
-
-    def __init__(self, body, result):
-        self.body = body
-        self.result = result
-
-
-def compile_fragment(fragment, storage_map):
-    """Lower one hidden fragment (cached per fragment by ``HiddenServer``)."""
-    started = time.perf_counter()
-    compiler = _FragmentCompiler(storage_map or {})
-    body = tuple(compiler.compile_stmt(s) for s in fragment.body)
-    result = None
-    if fragment.result_expr is not None:
-        result = compiler.compile_expr(fragment.result_expr)
-    _observe_compile("hidden", time.perf_counter() - started)
-    return CompiledFragment(body, result)
+# -- hidden-side closure tier -------------------------------------------------
 
 
 class _FragmentCompiler:

@@ -18,23 +18,22 @@ from repro.lang.typecheck import BUILTIN_SIGNATURES
 from repro.obs import profile as _profile
 # exported metric names (documented in docs/OBSERVABILITY.md)
 from repro.obs.metrics import M_STEPS, M_STMTS  # noqa: F401 (re-exported)
-# _Return/_Break/_Continue are shared with the compiled engine so control
-# flow crosses engine boundaries; StepLimitExceeded is re-exported here for
-# backward compatibility (it lives in values.py).
-from repro.runtime.compile import (  # noqa: F401 (re-exported)
+from repro.runtime.compile import (
     DEFAULT_ENGINE,
-    OpenCompiler,
-    _Break,
-    _Continue,
-    _Return,
+    open_bodies,
     validate_engine,
 )
-from repro.runtime.codegen import OpenCodegen
+# _Return/_Break/_Continue are shared by every engine so control flow
+# crosses engine boundaries; StepLimitExceeded is re-exported here for
+# backward compatibility.
 from repro.runtime.values import (  # noqa: F401 (StepLimitExceeded re-exported)
     ArrayValue,
     ObjectValue,
     RuntimeErr,
     StepLimitExceeded,
+    _Break,
+    _Continue,
+    _Return,
     binary_op,
     call_builtin,
     default_value,
@@ -115,11 +114,11 @@ class Interpreter:
     def __init__(self, program, hidden_runtime=None, max_steps=20_000_000,
                  max_call_depth=400, engine=DEFAULT_ENGINE):
         """``engine`` selects the execution strategy (docs/ENGINE.md):
-        ``"compiled"`` (default) lowers each function body to closures on
-        first call via :class:`~repro.runtime.compile.OpenCompiler`;
-        ``"codegen"`` emits real Python source per function via
-        :class:`~repro.runtime.codegen.OpenCodegen`; ``"ast"`` walks the
-        tree directly.  All three are observably bit-identical."""
+        ``"compiled"`` (default) runs each function body as closures,
+        ``"codegen"`` as generated Python source, and ``"ast"`` walks the
+        tree directly.  All three are observably bit-identical.  Bodies
+        are lowered on first call by :mod:`repro.runtime.compile` and
+        shared with every other interpreter running ``program``."""
         self.program = program
         self.hidden = hidden_runtime
         self.max_steps = max_steps
@@ -136,32 +135,17 @@ class Interpreter:
                 self.globals[g.name] = self._literal(g.init)
             else:
                 self.globals[g.name] = default_value(g.var_type)
-        self._functions = {}
-        for fn in program.functions:
-            self._functions[fn.name] = fn
-        self._classes = {c.name: c for c in program.classes}
-        self._methods = {}
-        for cls in program.classes:
-            for m in cls.methods:
-                self._methods[(cls.name, m.name)] = m
+        self.engine = validate_engine(engine)
+        #: fn -> its lowered body, owned by the program
+        self._bodies = open_bodies(program, self.engine,
+                                   self._stmt_counts is not None)
+        tables = self._bodies.tables
+        self._functions = tables.functions
+        self._classes = tables.classes
+        self._methods = tables.methods
         #: entry-name -> Function; programs are immutable after load, so
         #: resolutions (including dotted "Cls.method" splits) never expire
         self._resolve_cache = {}
-        self.engine = validate_engine(engine)
-        self._compiler = (
-            OpenCompiler(self._functions, self._methods, self._classes)
-            if self.engine == "compiled"
-            else None
-        )
-        self._codegen = (
-            OpenCodegen(
-                self._functions, self._methods, self._classes,
-                globals_names=frozenset(self.globals),
-                counting=self._sink is not None,
-            )
-            if self.engine == "codegen"
-            else None
-        )
         if self._sink is not None:
             self._sink.engine("open", self.engine)
 
@@ -227,22 +211,9 @@ class Interpreter:
                 "call depth exceeded %d (unbounded recursion?)" % self.max_call_depth
             )
         try:
-            codegen = self._codegen
-            if codegen is not None:
-                # generated bodies return natively (deopt wrappers catch
-                # _Return internally), so no exception round-trip here
-                return codegen.body(fn)(self, env)
-            compiler = self._compiler
-            if compiler is not None:
-                for thunk in compiler.body(fn):
-                    thunk(self, env)
-            else:
-                self.exec_body(fn.body, env)
-        except _Return as r:
-            return r.value
+            return self._bodies[fn](self, env)
         finally:
             self.call_depth -= 1
-        return None
 
     # -- name resolution -------------------------------------------------------
 

@@ -25,21 +25,16 @@ from repro.obs.metrics import (  # noqa: F401 (re-exported)
 from repro.obs import profile as _profile
 from repro.lang import ast
 from repro.core.hidden import FragmentKind
-from repro.core.prefetch import resolve_prefetch, touches_open_aggregates
-from repro.core.purity import classify_fragment
 from repro.runtime.cache import CacheEntry, FragmentCache, tag_value
 from repro.runtime.channel import Channel, LatencyModel
-# control flow is shared with the compiled engine (repro.runtime.compile)
 from repro.runtime.compile import (
-    DEFAULT_ENGINE,
-    _Break,
-    _Continue,
-    compile_fragment,
-    validate_engine,
+    DEFAULT_ENGINE, fragment_entry, validate_engine,
 )
-from repro.runtime.codegen import codegen_fragment
+# control flow is shared by every engine
 from repro.runtime.values import (
     RuntimeErr,
+    _Break,
+    _Continue,
     binary_op,
     call_builtin,
     default_value,
@@ -56,14 +51,14 @@ def deferrable_labels(registry):
     """``{fn_id: [label, ...]}`` of one-way calls — ``set``/``stmts``
     fragments that never touch open aggregates — advertised in the remote
     handshake so a batching client knows what it may coalesce
-    (docs/PROTOCOL.md)."""
+    (docs/PROTOCOL.md).  The same fact decides which calls an in-process
+    batching server defers."""
     out = {}
     for fn_id, (_name, fragments, _storage) in registry.items():
         labels = [
             label
             for label, frag in fragments.items()
-            if frag.kind in (FragmentKind.SET, FragmentKind.STMTS)
-            and not touches_open_aggregates(frag)
+            if fragment_entry(frag).deferrable
         ]
         if labels:
             out[fn_id] = sorted(labels)
@@ -170,11 +165,11 @@ class HiddenServer:
         is bit-identical to the paper's one-message-per-interaction model.
 
         ``engine`` selects the fragment execution strategy (docs/ENGINE.md):
-        ``"compiled"`` (default) lowers each fragment to closures on first
-        call via :func:`repro.runtime.compile.compile_fragment`;
-        ``"codegen"`` emits real Python source per fragment via
-        :func:`repro.runtime.codegen.codegen_fragment`; ``"ast"`` walks
-        the tree.  All three are observably bit-identical.
+        ``"compiled"`` (default) runs each fragment as closures,
+        ``"codegen"`` as generated Python source, and ``"ast"`` walks the
+        tree.  All three are observably bit-identical.  Fragments are
+        lowered on first call by :mod:`repro.runtime.compile` and shared
+        with every other server — every daemon session — running them.
 
         ``cache`` enables the Hf-side fragment result cache
         (:mod:`repro.runtime.cache`, docs/CACHING.md): fragments the
@@ -194,8 +189,6 @@ class HiddenServer:
         self.hidden_field_classes = dict(hidden_field_classes or {})
         self.instances = {}  # oid -> {hidden field: value}
         self.batching = batching
-        self._deferrable = {}  # id(fragment) -> bool
-        self._prefetch_cache = {}  # id(fragment) -> (stmt_map, result_reads)
         self.engine = validate_engine(engine)
         if isinstance(cache, FragmentCache):
             self.cache = cache
@@ -203,9 +196,6 @@ class HiddenServer:
             self.cache = FragmentCache(program=program)
         else:
             self.cache = None
-        self._purity = {}  # id(fragment) -> PurityVerdict
-        # id(fragment) -> CompiledFragment; None when running the AST engine
-        self._compiled = {} if self.engine in ("compiled", "codegen") else None
         self._sink = obs.get_sink()
         if self._sink is not None:
             self._sink.engine("hidden", self.engine)
@@ -258,44 +248,7 @@ class HiddenServer:
                 "open", None, obj.class_name, None, (obj.oid,), obj.oid
             )
 
-    # -- batching support --------------------------------------------------------
-
-    def _is_deferrable(self, fragment):
-        """A call is one-way when the open side ignores its result (``set``
-        and ``stmts`` fragments return the paper's "any" value) *and*
-        executing it needs no open-memory callbacks, so its effects stay
-        invisible until the next synchronisation point anyway."""
-        key = id(fragment)
-        cached = self._deferrable.get(key)
-        if cached is None:
-            cached = fragment.kind in (
-                FragmentKind.SET, FragmentKind.STMTS
-            ) and not touches_open_aggregates(fragment)
-            self._deferrable[key] = cached
-        return cached
-
-    def _fragment_prefetch(self, fragment):
-        key = id(fragment)
-        cached = self._prefetch_cache.get(key)
-        if cached is None:
-            cached = resolve_prefetch(fragment)
-            self._prefetch_cache[key] = cached
-        return cached
-
     # -- result caching ----------------------------------------------------------
-
-    def _fragment_purity(self, fragment, storage_map):
-        """The fragment's stamped verdict, or an on-demand classification
-        (hand-built registries, pre-purity manifests) — cached by id like
-        the prefetch/deferrable tables."""
-        key = id(fragment)
-        verdict = self._purity.get(key)
-        if verdict is None:
-            verdict = fragment.purity
-            if verdict is None:
-                verdict = classify_fragment(fragment, storage_map)
-            self._purity[key] = verdict
-        return verdict
 
     def _cache_key(self, activation, label, values, verdict):
         """The content key for one cacheable call, or ``None`` when any
@@ -329,19 +282,6 @@ class HiddenServer:
             activation.fn_id, label, tuple(tagged), tuple(env_key), epoch, oid
         )
 
-    def _compiled_fragment(self, fragment, storage_map):
-        key = id(fragment)
-        compiled = self._compiled.get(key)
-        if compiled is None:
-            if self.engine == "codegen":
-                compiled = codegen_fragment(
-                    fragment, storage_map, self._sink is not None
-                )
-            else:
-                compiled = compile_fragment(fragment, storage_map)
-            self._compiled[key] = compiled
-        return compiled
-
     # -- fragment execution ------------------------------------------------------
 
     def call(self, hid, label, values, access):
@@ -362,6 +302,7 @@ class HiddenServer:
         env = activation.env
         for name, value in zip(fragment.params, values):
             env[name] = value
+        facts = fragment_entry(fragment)
         sink = self._sink
         stmt_counts = {} if sink is not None else None
         steps_before = self.steps
@@ -373,7 +314,7 @@ class HiddenServer:
         if cache is not None:
             # classified for *every* fragment: uncacheable fragments that
             # write the hidden store must still invalidate (below)
-            verdict = self._fragment_purity(fragment, storage_map)
+            verdict = facts.purity(fragment, storage_map)
             if verdict.cacheable:
                 cache_key = self._cache_key(activation, label, values, verdict)
                 if cache_key is not None:
@@ -409,7 +350,7 @@ class HiddenServer:
                 result = entry.result
             else:
                 result = self._execute(
-                    activation, fragment, access,
+                    activation, fragment, facts, access,
                     env if filling is None else filling, storage_map,
                     fn_name, stmt_counts,
                 )
@@ -447,13 +388,13 @@ class HiddenServer:
                 ),
                 fn=fn_name, label=label,
             )
-        if self.batching and self._is_deferrable(fragment):
+        if self.batching and facts.deferrable:
             self.channel.defer("call", hid, fn_name, label, values)
         else:
             self.channel.round_trip("call", hid, fn_name, label, values, result)
         return result
 
-    def _execute(self, activation, fragment, access, env, storage_map,
+    def _execute(self, activation, fragment, facts, access, env, storage_map,
                  fn_name, stmt_counts):
         """Really execute ``fragment`` (a cache miss, an unkeyable call, or
         caching disabled) against ``env``."""
@@ -463,24 +404,17 @@ class HiddenServer:
             and access is not None
             and hasattr(access, "fetch_batch")
         ):
-            stmt_prefetch, result_reads = self._fragment_prefetch(fragment)
+            stmt_prefetch, result_reads = facts.prefetch(fragment)
         evaluator = _FragmentEvaluator(
             self, env, access, activation.hid, fn_name, storage_map,
             activation.receiver_oid, stmt_counts=stmt_counts,
             prefetch_map=stmt_prefetch,
         )
-        compiled = (
-            self._compiled_fragment(fragment, storage_map)
-            if self._compiled is not None
-            else None
-        )
-        if compiled is not None:
-            for thunk in compiled.body:
-                thunk(evaluator)
-        else:
-            for stmt in fragment.body:
-                evaluator.exec_stmt(stmt)
-        if fragment.result_expr is None:
+        body, result_thunk = facts.code(fragment, storage_map, self.engine,
+                                        stmt_counts is not None)
+        for thunk in body:
+            thunk(evaluator)
+        if result_thunk is None:
             return 0  # the paper's "any" value
         try:
             # inside the clearing scope: a prefetch aborting after
@@ -488,10 +422,7 @@ class HiddenServer:
             # into later statements (see prefetch_reads)
             if result_reads:
                 evaluator.prefetch_reads(result_reads)
-            if compiled is not None:
-                result = compiled.result(evaluator)
-            else:
-                result = evaluator.eval_expr(fragment.result_expr)
+            result = result_thunk(evaluator)
         finally:
             evaluator.clear_batch_cache()
         if fragment.kind == FragmentKind.PRED:

@@ -18,10 +18,43 @@ class StepLimitExceeded(RuntimeErr):
     """The configured execution budget was exhausted.
 
     Lives here (rather than in :mod:`repro.runtime.interpreter`, which
-    re-exports it) so that both execution engines — the AST walker and the
-    closure compiler in :mod:`repro.runtime.compile` — can raise it without
-    a circular import.
+    re-exports it) so that every execution engine — the AST walker, the
+    closure tier in :mod:`repro.runtime.compile` and the codegen tier —
+    can raise it without a circular import.
     """
+
+
+# -- control flow and truthiness shared by every engine -----------------------
+# A break raised by one engine's loop body is always caught by another's
+# enclosing loop, so the signals are one set of classes for all tiers.
+
+class _Return(Exception):
+    def __init__(self, value):
+        self.value = value
+
+
+class _Break(Exception):
+    pass
+
+
+class _Continue(Exception):
+    pass
+
+
+def _open_truthy(value):
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return value != 0  # hcall-based predicates return plain values
+    raise RuntimeErr("condition is not a bool: %r" % (value,))
+
+
+def _hidden_truthy(value):
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return value != 0
+    raise RuntimeErr("hidden fragment: condition is not a bool: %r" % (value,))
 
 
 class ArrayValue:
@@ -173,9 +206,9 @@ def _op_rem(left, right):
     raise RuntimeErr("'%%' needs ints, got %r and %r" % (a, b))
 
 
-#: operator symbol -> implementation.  The compiled engine
-#: (repro.runtime.compile) binds these functions into closures at compile
-#: time; the AST engine reaches them through :func:`binary_op`.
+#: operator symbol -> implementation.  The closure and codegen tiers bind
+#: these functions at lowering time; the AST engine reaches them through
+#: :func:`binary_op`.
 BINARY_OPS = {
     "&&": _op_and,
     "||": _op_or,

@@ -25,6 +25,7 @@ from repro import obs
 from repro.core.program import split_program
 from repro.lang import check_program, parse_program
 from repro.runtime.channel import Channel, LatencyModel
+from repro.runtime.compile import M_COMPILE_SECONDS
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.remote import (
     M_CLIENTS,
@@ -159,6 +160,25 @@ def test_unknown_program_is_refused_cleanly():
         # the refusal killed one session, not the daemon
         remote = run_split_remote(sp_a, address, args=(4,), program="alpha")
         assert remote.output == run_original(prog_a, args=(4,)).output
+
+
+def _hidden_compiles(registry):
+    return sum(m.count for m in registry.collect()
+               if m.name == M_COMPILE_SECONDS and m.labels["side"] == "hidden")
+
+
+@pytest.mark.parametrize("engine", ["compiled", "codegen"])
+def test_second_session_on_a_tenant_compiles_nothing(engine):
+    prog, sp = make(ALPHA)
+    want = run_original(prog, args=(3,)).output
+    with obs.telemetry() as (registry, _tracer):
+        with remote_server(sp, engine=engine) as address:
+            first = run_split_remote(sp, address, args=(3,))
+            compiled = _hidden_compiles(registry)
+            second = run_split_remote(sp, address, args=(3,))
+            assert _hidden_compiles(registry) == compiled
+    assert compiled >= 1
+    assert first.output == second.output == want
 
 
 def test_selection_after_hidden_state_is_refused():

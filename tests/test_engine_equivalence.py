@@ -7,10 +7,14 @@ agree on outputs, return values, step counts, per-statement-kind metric
 counts, and the full channel transcript.  Error paths (step limit, runtime
 errors) must agree on message text and on the partial metrics flushed
 while aborting.  The codegen engine must additionally achieve this without
-deopting to the closure tier on any of these programs.
+deopting to the AST tier on any of these programs.
 """
 
+import gc
 import pathlib
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -21,7 +25,7 @@ from repro.lang import check_program, parse_program
 from repro.runtime import ENGINES
 from repro.runtime.channel import LatencyModel
 from repro.runtime.codegen import M_DEOPT
-from repro.runtime.compile import M_COMPILE_SECONDS, M_ENGINE
+from repro.runtime.compile import M_COMPILE_SECONDS, M_ENGINE, open_bodies
 from repro.runtime.interpreter import M_STEPS, M_STMTS, Interpreter, StepLimitExceeded
 from repro.runtime.splitrun import run_split
 from repro.runtime.values import RuntimeErr
@@ -270,28 +274,89 @@ def _compile_count(registry, side):
     return 0
 
 
-def test_function_bodies_compile_once():
+def _assert_bodies_compile_once(engine):
+    # lowered code belongs to the program: a second run and a second
+    # interpreter on the same program lower nothing again
     program = _parse(TIGHT_SRC)
+    fn = program.functions[0]
     with obs.telemetry() as (registry, _tracer):
-        interp = Interpreter(program, engine="compiled")
+        interp = Interpreter(program, engine=engine)
         interp.run("main", (10,))
         assert _compile_count(registry, "open") == 1
-        first = interp._compiler.body(program.functions[0])
+        first = open_bodies(program, engine, counting=True)[fn]
         interp.run("main", (10,))
         assert _compile_count(registry, "open") == 1  # cache hit, no recompile
-        assert interp._compiler.body(program.functions[0]) is first
+        again = Interpreter(program, engine=engine)
+        assert again.run("main", (10,)) == interp.run("main", (10,))
+        assert _compile_count(registry, "open") == 1  # shared, no recompile
+        assert open_bodies(program, engine, counting=True)[fn] is first
+
+
+def test_function_bodies_compile_once():
+    _assert_bodies_compile_once("compiled")
 
 
 def test_codegen_bodies_compile_once():
+    _assert_bodies_compile_once("codegen")
+
+
+def test_codegen_store_key_includes_counting():
+    # generated source bakes the statement-kind counters in, so a run
+    # without telemetry must not reuse a counting body (or vice versa)
     program = _parse(TIGHT_SRC)
-    with obs.telemetry() as (registry, _tracer):
-        interp = Interpreter(program, engine="codegen")
-        interp.run("main", (10,))
-        assert _compile_count(registry, "open") == 1
-        first = interp._codegen.body(program.functions[0])
-        interp.run("main", (10,))
-        assert _compile_count(registry, "open") == 1  # cache hit, no recompile
-        assert interp._codegen.body(program.functions[0]) is first
+    fn = program.functions[0]
+    counting = open_bodies(program, "codegen", counting=True)
+    plain = open_bodies(program, "codegen", counting=False)
+    assert counting is not plain
+    assert counting[fn] is not plain[fn]
+    assert open_bodies(program, "compiled", counting=True) is \
+        open_bodies(program, "compiled", counting=False)
+
+
+@pytest.mark.parametrize("engine", ["compiled", "codegen"])
+def test_threads_racing_the_first_lowering_share_one_body(engine):
+    program = _parse(TIGHT_SRC)
+    fn = program.functions[0]
+    bodies = open_bodies(program, engine)
+    start = threading.Barrier(8)
+    seen = []
+
+    def lower():
+        start.wait()
+        seen.append(bodies[fn])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads mid-lowering
+    try:
+        with obs.telemetry() as (registry, _tracer):
+            threads = [threading.Thread(target=lower) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 8
+    assert all(body is seen[0] for body in seen)
+    assert _compile_count(registry, "open") == 1
+
+
+def test_store_releases_a_dropped_program():
+    program = _parse(HIDDEN_LOOP_SRC)
+    sp = split_program(program, check_program(program), [("f", "a")])
+    for engine in ENGINES:
+        run_split(sp, args=(1,), latency=LatencyModel.instant(),
+                  engine=engine, batching=True, cache=True)
+    fragments = [
+        frag for _name, frags, _storage in sp.registry().values()
+        for frag in frags.values()
+    ]
+    assert fragments
+    refs = [weakref.ref(sp.program), weakref.ref(program)]
+    refs += [weakref.ref(frag) for frag in fragments]
+    del program, sp, fragments
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_engine_counter_labels():

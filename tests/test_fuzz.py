@@ -134,8 +134,41 @@ def test_telemetry_cell_matches_its_uninstrumented_twin():
     cell = result.observations[("split-compiled-telemetry", (0, 0))]
     twin = result.observations[("split-compiled", (0, 0))]
     assert cell.transcript == twin.transcript and cell.transcript
-    assert cell.telemetry == (len(cell.transcript),) * 2
+    assert cell.telemetry[:2] == (len(cell.transcript),) * 2
+    assert 0 < cell.telemetry[2]["open"] <= cell.steps_open
     assert twin.telemetry is None
+
+
+_CODEGEN_TELEMETRY_PAIR = "split-codegen,split-codegen-telemetry"
+
+
+def test_codegen_telemetry_cell_matches_its_uninstrumented_twin():
+    source = pretty(generate_program(0)[0])
+    result = oracle.run_matrix(
+        source, [(0, 0)],
+        configs=oracle.select_configs(_CODEGEN_TELEMETRY_PAIR))
+    assert result.split_summary and not result.diverged
+    cell = result.observations[("split-codegen-telemetry", (0, 0))]
+    twin = result.observations[("split-codegen", (0, 0))]
+    assert cell.transcript == twin.transcript and cell.transcript
+    assert (cell.steps_open, cell.steps_hidden) == \
+        (twin.steps_open, twin.steps_hidden)
+    assert cell.telemetry[:2] == (len(cell.transcript),) * 2
+
+
+def test_codegen_telemetry_cell_flags_a_store_key_without_counting(
+        monkeypatch):
+    # a lowered codegen body shared between a plain and a counting run
+    # counts no statements in the counting one
+    from repro.runtime import compile as lowering
+
+    monkeypatch.setattr(lowering, "_row_key", lambda engine, counting: engine)
+    source = pretty(generate_program(0)[0])
+    result = oracle.run_matrix(
+        source, [(0, 0)],
+        configs=oracle.select_configs(_CODEGEN_TELEMETRY_PAIR))
+    assert ("split-codegen-telemetry", "telemetry") in [
+        (d.config, d.kind) for d in result.divergences]
 
 
 def test_telemetry_cell_flags_a_dropped_event(monkeypatch):

@@ -186,7 +186,7 @@ def test_registry_resolves_static_and_resolver_tags():
 
 # CPython refuses to compile more than 20 statically nested blocks; 24
 # nested whiles force the codegen tier's generated source over that limit,
-# so the function must deopt to the closure tier with reason compile-limit
+# so the function must deopt to the AST tier with reason compile-limit
 # and still produce the ast engine's exact output.
 _DEPTH = 24
 _DEOPT_SOURCE = (
@@ -217,7 +217,7 @@ def test_crafted_deopt_counts_reason_and_records_event():
     recorder = FlightRecorder()
     with obs.telemetry(recorder=recorder) as (registry, _tracer):
         result = run_original(program, args=(30,), engine="codegen")
-    assert result.output == ["30"]  # the closure fallback is bit-identical
+    assert result.output == ["30"]  # the AST fallback is bit-identical
     assert registry.value(M_DEOPT, side="open", reason=DEOPT_COMPILE_LIMIT) == 1
     events = recorder.by_type("deopt")
     assert len(events) == 1
@@ -254,7 +254,7 @@ def test_deopt_report_empty():
 
 
 def test_deopted_function_still_profiles_via_dispatch_frame():
-    """A deopted (closure-fallback) function has no static code tag; its
+    """A deopted (AST-fallback) function has no static code tag; its
     samples must still attribute through the call_function resolver."""
     program = parse_program(_DEOPT_SOURCE)
     check_program(program)
