@@ -7,8 +7,9 @@ p50/p95/p99 round-trip latency with a machine-readable SLO gate for CI.
 
 - :mod:`repro.loadgen.replay` turns an event log (or an in-process
   transcript) into a replayable op script;
-- :mod:`repro.loadgen.client` is one synthetic client: handshake, optional
-  program selection, scripted ops, zero-filled callback answers;
+- :mod:`repro.loadgen.client` is one synthetic client: the script's ops
+  replayed through :class:`~repro.runtime.remote.RemoteHiddenRuntime`,
+  callbacks answered with zeros;
 - :mod:`repro.loadgen.harness` fans clients out over threads, merges their
   latencies, checks SLOs, and optionally scrapes a live ``/metrics.json``
   endpoint before and after the run.

@@ -1,26 +1,24 @@
 """One synthetic client: the wire protocol with zeros for values.
 
-Speaks the real protocol (docs/PROTOCOL.md) against a live daemon:
-handshake, optional program selection, then the scripted ops — answering
-any server callbacks with zeros along the way — while measuring the wall
-time of every answered round trip.
+Replays a script against a live daemon through
+:class:`~repro.runtime.remote.RemoteHiddenRuntime` — the same client
+``run-split --remote`` uses (docs/PROTOCOL.md) — answering any server
+callbacks with zeros, while measuring the wall time of every answered
+round trip.
 """
 
 import contextlib
-import socket
 import threading
 import time
+import types
 
+from repro.runtime.channel import Channel, LatencyModel
 from repro.runtime.remote import (
     ChannelError,
-    ChannelProtocolError,
-    _recv,
-    _send,
+    ConnectionPolicy,
+    RemoteHiddenRuntime,
 )
-
-#: connect retries per client (accept backlog under heavy fan-out)
-_CONNECT_ATTEMPTS = 5
-_CONNECT_BACKOFF_S = 0.05
+from repro.runtime.values import RuntimeErr
 
 
 class ClientResult:
@@ -41,6 +39,25 @@ class ClientResult:
     def _note_error(self, message):
         if self.first_error is None:
             self.first_error = str(message)
+
+
+class _ZeroAccess:
+    """Open-component memory that reads zeros and drops stores."""
+
+    def fetch_index(self, name, index):
+        return 0
+
+    def fetch_field(self, name, field):
+        return 0
+
+    def store_index(self, name, index, value):
+        pass
+
+    def store_field(self, name, field, value):
+        pass
+
+    def fetch_batch(self, items):
+        return [0] * len(items)
 
 
 class SyntheticClient:
@@ -71,7 +88,14 @@ class SyntheticClient:
     def run(self):
         result = ClientResult()
         try:
-            sock, rfile, wfile, facts = self._connect()
+            runtime = RemoteHiddenRuntime(
+                self.address,
+                # no transcript: a long replay must not grow the client
+                channel=Channel(LatencyModel.instant(), record=False),
+                program=self.program, cache=self.cache,
+                # five attempts ride out the accept backlog of a big fleet
+                policy=ConnectionPolicy(self.timeout_s, connect_retries=5),
+            )
         except (ChannelError, OSError) as exc:
             result.protocol_errors += 1
             result._note_error(exc)
@@ -80,16 +104,11 @@ class SyntheticClient:
                 with contextlib.suppress(threading.BrokenBarrierError):
                     self.barrier.wait(timeout=self.timeout_s)
             return result
-        functions = {
-            str(name): fn_id
-            for name, fn_id in (facts.get("functions") or {}).items()
-        }
-        classes = set(facts.get("classes") or ())
         try:
             if self.barrier is not None:
                 self.barrier.wait(timeout=self.timeout_s)
             for _ in range(self.iterations):
-                self._replay_once(rfile, wfile, functions, classes, result)
+                self._replay_once(runtime, result)
         except (ChannelError, OSError) as exc:
             result.protocol_errors += 1
             result._note_error(exc)
@@ -97,85 +116,30 @@ class SyntheticClient:
             result.protocol_errors += 1
             result._note_error("client fleet barrier broke")
         finally:
-            with contextlib.suppress(ChannelError, OSError):
-                _send(wfile, {"op": "shutdown"})
-            with contextlib.suppress(OSError):
-                sock.close()
+            runtime.close()
         return result
 
-    # -- plumbing --------------------------------------------------------------
-
-    def _connect(self):
-        last = None
-        backoff = _CONNECT_BACKOFF_S
-        for attempt in range(_CONNECT_ATTEMPTS):
-            if attempt:
-                time.sleep(backoff)
-                backoff *= 2
-            sock = None
-            try:
-                sock = socket.create_connection(
-                    self.address, timeout=self.timeout_s)
-                sock.settimeout(self.timeout_s)
-                rfile = sock.makefile("rb")
-                wfile = sock.makefile("wb")
-                handshake = _recv(rfile)
-                if "error" in handshake:
-                    raise ChannelError(
-                        "server refused connection: %s" % handshake["error"])
-                facts = handshake
-                if self.program is not None:
-                    if "programs" not in handshake:
-                        raise ChannelProtocolError(
-                            "server does not serve named programs")
-                    _send(wfile, {"op": "hello", "program": self.program})
-                    reply = _recv(rfile)
-                    if "error" in reply:
-                        raise ChannelProtocolError(
-                            "program selection failed: %s" % reply["error"])
-                    picked = reply.get("result")
-                    facts = picked if isinstance(picked, dict) else {}
-                if self.cache:
-                    # same negotiation a real client performs; a daemon
-                    # serving --cache off answers without enabling and the
-                    # replay proceeds uncached (docs/CACHING.md)
-                    _send(wfile, {"op": "hello", "cache": True})
-                    reply = _recv(rfile)
-                    if "error" in reply:
-                        raise ChannelProtocolError(
-                            "cache negotiation failed: %s" % reply["error"])
-                return sock, rfile, wfile, facts
-            except (ChannelError, OSError) as exc:
-                last = exc
-                if sock is not None:
-                    with contextlib.suppress(OSError):
-                        sock.close()
-                if isinstance(exc, ChannelProtocolError):
-                    break  # not transient; retrying cannot help
-        raise last if isinstance(last, ChannelError) else ChannelError(
-            "could not connect to %r: %s" % (self.address, last))
-
-    def _replay_once(self, rfile, wfile, functions, classes, result):
+    def _replay_once(self, runtime, result):
+        functions = runtime.functions
+        access = _ZeroAccess()
         hid_stack = []
         next_oid = 1
         for op in self.script:
             self._think(op)
-            payload = None
-            pushes_hid = False
             if op.kind == "open":
                 if op.fn in functions:
-                    payload = {"op": "open", "fn_id": functions[op.fn]}
-                    pushes_hid = True
-                elif op.fn in classes:
-                    payload = {"op": "new_instance", "class": op.fn,
-                               "oid": next_oid}
+                    fn_id = functions[op.fn]
+                elif op.fn in runtime.split_classes:
+                    instance = types.SimpleNamespace(class_name=op.fn,
+                                                     oid=next_oid)
                     next_oid += 1
+                    self._timed(result, "new_instance",
+                                runtime.notify_new_instance, instance)
+                    continue
                 elif len(functions) == 1:
                     # client-side logs record fn "-": unambiguous only
                     # for single-function programs
-                    payload = {"op": "open",
-                               "fn_id": next(iter(functions.values()))}
-                    pushes_hid = True
+                    fn_id = next(iter(functions.values()))
                 else:
                     result.skipped += 1
                     result._note_error(
@@ -183,31 +147,25 @@ class SyntheticClient:
                         "server-side logs against multi-function programs)"
                         % op.fn)
                     continue
+                ok, hid = self._timed(result, "open",
+                                      runtime.open_activation, fn_id)
+                if ok:
+                    hid_stack.append(hid)
+            elif not hid_stack:
+                result.skipped += 1
             elif op.kind == "call":
-                if not hid_stack:
-                    result.skipped += 1
-                    continue
-                payload = {
-                    "op": "call", "hid": hid_stack[-1], "label": op.label,
-                    # the recorded count includes the reply; the rest are
-                    # the sent scalars, replayed as zeros
-                    "values": [0] * max(op.values - 1, 0),
-                }
+                # the recorded count includes the reply; the rest are the
+                # sent scalars, replayed as zeros
+                self._timed(result, "call", runtime.call, hid_stack[-1],
+                            op.label, [0] * max(op.values - 1, 0), access)
             else:  # close
-                if not hid_stack:
-                    result.skipped += 1
-                    continue
-                payload = {"op": "close", "hid": hid_stack.pop()}
-            reply = self._exchange(rfile, wfile, payload, result)
-            if reply is None:
-                continue
-            if pushes_hid:
-                hid_stack.append(reply.get("result"))
+                self._timed(result, "close", runtime.close_activation,
+                            hid_stack.pop())
         # a balanced script leaves no activations behind; an unbalanced
         # one (truncated log) is cleaned up by the session close
         while hid_stack:
-            self._exchange(rfile, wfile,
-                           {"op": "close", "hid": hid_stack.pop()}, result)
+            self._timed(result, "close", runtime.close_activation,
+                        hid_stack.pop())
 
     def _think(self, op):
         if self.think_scale <= 0.0 or op.think_us <= 0.0:
@@ -215,34 +173,21 @@ class SyntheticClient:
         jitter = self.rng.uniform(0.8, 1.2) if self.rng is not None else 1.0
         time.sleep(op.think_us * self.think_scale * jitter / 1e6)
 
-    def _exchange(self, rfile, wfile, payload, result):
-        """One answered round trip, callbacks serviced with zeros; returns
-        the reply frame, or None when the server answered with an error."""
+    @staticmethod
+    def _timed(result, kind, method, *args):
+        """One answered round trip through ``method``; returns ``(ok,
+        value)``, ``ok`` false when the server answered with an error.
+        Transport failures propagate and end the replay."""
         t0 = time.perf_counter()
-        _send(wfile, payload)
-        while True:
-            msg = _recv(rfile)
-            if "cb" in msg:
-                self._answer_callback(wfile, msg)
-                continue
-            elapsed = time.perf_counter() - t0
-            result.ops += 1
-            kind = payload["op"]
-            result.op_counts[kind] = result.op_counts.get(kind, 0) + 1
-            result.latencies_s.append(elapsed)
-            if "error" in msg:
-                result.error_replies += 1
-                result._note_error("server replied: %s" % msg["error"])
-                return None
-            return msg
-
-    def _answer_callback(self, wfile, msg):
-        cb = msg.get("cb")
-        if cb == "fetch_batch":
-            _send(wfile, {"values": [0] * len(msg.get("items", ()))})
-        elif cb in ("fetch_index", "fetch_field"):
-            _send(wfile, {"value": 0})
-        elif cb in ("store_index", "store_field"):
-            _send(wfile, {"value": None})
-        else:
-            _send(wfile, {"error": "unknown callback %r" % cb})
+        try:
+            value, ok = method(*args), True
+        except ChannelError:
+            raise
+        except RuntimeErr as exc:
+            value, ok = None, False
+            result.error_replies += 1
+            result._note_error(exc)
+        result.latencies_s.append(time.perf_counter() - t0)
+        result.ops += 1
+        result.op_counts[kind] = result.op_counts.get(kind, 0) + 1
+        return ok, value

@@ -216,12 +216,8 @@ class HiddenComponentServer:
     """Hosts one or more hidden components behind a single TCP socket — a
     multi-tenant daemon (docs/OPERATIONS.md).
 
-    The original single-program constructor still works: ``registry`` (with
-    ``hidden_globals``/``hidden_field_classes``) describes the *default*
-    program, the one a client that never selects a program is bound to.
-    ``tenants`` registers additional named programs; the first registered
-    program (positional ``registry`` first, then ``tenants`` in order) is
-    the default.
+    ``tenants`` registers the served programs in order; the first is the
+    default, the one a client that never selects a program is bound to.
 
     Operational limits, all off by default so the daemon degrades to the
     seed's behaviour:
@@ -243,26 +239,16 @@ class HiddenComponentServer:
     cached entries per tenant across all its sessions.
     """
 
-    def __init__(self, registry=None, hidden_globals=None,
-                 hidden_field_classes=None, host="127.0.0.1", port=0,
-                 engine=DEFAULT_ENGINE, tenants=None, default_name="default",
-                 max_sessions=None, idle_timeout_s=None, max_batch_msgs=1024,
-                 drain_grace_s=10.0, cache=True, cache_quota=None):
+    def __init__(self, tenants=(), host="127.0.0.1", port=0,
+                 engine=DEFAULT_ENGINE, max_sessions=None, idle_timeout_s=None,
+                 max_batch_msgs=1024, drain_grace_s=10.0, cache=True,
+                 cache_quota=None):
         self._tenants = {}
-        if registry is not None:
-            self.add_tenant(Tenant(
-                default_name, registry,
-                hidden_globals=hidden_globals,
-                hidden_field_classes=hidden_field_classes,
-            ))
-        for tenant in tenants or ():
+        for tenant in tenants:
             self.add_tenant(tenant)
         if not self._tenants:
             raise ValueError("the daemon needs at least one program to serve")
         self._default = next(iter(self._tenants.values()))
-        # single-program compatibility surface (default tenant's facts)
-        self.hidden_field_classes = dict(self._default.hidden_field_classes)
-        self._deferrable = self._default.deferrable
         self.engine = engine
         self.max_sessions = max_sessions
         self.idle_timeout_s = idle_timeout_s
@@ -653,6 +639,38 @@ class _ClientSession:
             "functions": dict(tenant.functions),
         }
 
+    def _hello_batching(self, on):
+        # turns on the server-side half of batching (prefetch manifests ->
+        # fetch_batch callbacks)
+        self.batching = bool(on)
+        if self.inner is not None:
+            self.inner.batching = self.batching
+        return "ok"
+
+    def _hello_cache(self, on):
+        # fragment-cache negotiation (docs/CACHING.md): honoured only when
+        # the daemon's --cache policy allows it; the reply tells the client
+        # which way it went
+        self.cache = bool(on) and self.server.cache_enabled
+        self._apply_cache()
+        return {"cache": self.cache}
+
+    def _hello_trace(self, trace):
+        # trace handshake: exchange recorder epochs so the two event
+        # streams can be clock-aligned (docs/PROTOCOL.md)
+        if not isinstance(trace, dict):
+            return "ok"
+        return {"ok": True, "epoch_us": self.server._now_us()}
+
+    #: hello option -> handler; each ``hello`` declares exactly one
+    #: (docs/PROTOCOL.md, whose op table tools/check_docs.py holds to this)
+    _HELLO_OPTIONS = {
+        "program": _select_program,
+        "batching": _hello_batching,
+        "cache": _hello_cache,
+        "trace": _hello_trace,
+    }
+
     # -- dispatch --------------------------------------------------------------
 
     def _dispatch(self, msg, rfile, wfile, sink=None):
@@ -675,27 +693,16 @@ class _ClientSession:
             )
             return msg["oid"]
         if op == "hello":
-            # the client declares its options: program selection binds the
-            # session to a tenant, batching turns on the server-side half
-            # (prefetch manifests -> fetch_batch callbacks)
-            if "program" in msg:
-                return self._select_program(msg["program"])
-            if "batching" in msg:
-                self.batching = bool(msg["batching"])
-                if self.inner is not None:
-                    self.inner.batching = self.batching
-            if "cache" in msg:
-                # fragment-cache negotiation (docs/CACHING.md): honoured
-                # only when the daemon's --cache policy allows it; the
-                # reply tells the client which way it went
-                self.cache = bool(msg["cache"]) and self.server.cache_enabled
-                self._apply_cache()
-                return {"cache": self.cache}
-            if isinstance(msg.get("trace"), dict):
-                # trace handshake: exchange recorder epochs so the two
-                # event streams can be clock-aligned (docs/PROTOCOL.md)
-                return {"ok": True, "epoch_us": self.server._now_us()}
-            return "ok"
+            # the client declares one option per hello (docs/PROTOCOL.md);
+            # a hello naming none of them is answered and ignored
+            options = [key for key in self._HELLO_OPTIONS if key in msg]
+            if len(options) > 1:
+                raise RuntimeErr(
+                    "hello declares one option at a time, got %s"
+                    % ", ".join(options))
+            if not options:
+                return "ok"
+            return self._HELLO_OPTIONS[options[0]](self, msg[options[0]])
         if op == "shutdown":
             # clean session end: close without replying (docs/PROTOCOL.md)
             return "bye"
@@ -791,94 +798,98 @@ class RemoteHiddenRuntime:
         self._hid_fn = {}  # hid -> fn_id, to look up deferrable labels
         self._sink = obs.get_sink()
         self._connect(address)
-        if self.trace:
-            self._trace_handshake()
-        if self.cache:
-            self._cache_handshake()
         if batching:
             self._request({"op": "hello", "batching": True}, access=None,
                           kind="open", sent=())
 
     def _connect(self, address):
-        """Connect and complete the handshake, retrying per the policy —
-        the only phase where retrying is safe (no session state yet)."""
+        """Connect and set the session up, retrying per the policy — the
+        only phase where retrying is safe (no session state yet).  Only
+        transient failures are retried: a socket error, a timeout, or a
+        refusal before the handshake.  A :class:`ChannelProtocolError` (a
+        revision this client cannot speak, a failed program selection or
+        cache negotiation) ends the loop at once."""
         policy = self.policy
         backoff = policy.retry_backoff_s
-        last_error = None
         for attempt in range(policy.connect_retries):
             if attempt:
                 time.sleep(backoff)
                 backoff *= 2
+            self.connect_attempts = attempt + 1
             sock = None
             try:
                 sock = socket.create_connection(address, timeout=policy.timeout_s)
                 sock.settimeout(policy.timeout_s)
-                rfile = sock.makefile("rb")
-                wfile = sock.makefile("wb")
-                handshake = _recv(rfile)
-                if "error" in handshake:
-                    # the daemon refused before speaking the protocol
-                    # (connection limit): retryable under the policy
-                    raise ChannelError(
-                        "server refused connection: %s" % handshake["error"]
-                    )
-                proto = handshake.get("proto", 1)
-                if proto > PROTOCOL_VERSION:
-                    raise ChannelProtocolError(
-                        "server speaks protocol %r, client speaks up to %d"
-                        % (proto, PROTOCOL_VERSION)
-                    )
-                facts = handshake
-                if self.program is not None:
-                    facts = self._negotiate_program(rfile, wfile, handshake)
+                self._sock = sock
+                self._open_session()
+                return
             except (ChannelError, OSError) as exc:
                 last_error = exc
                 if sock is not None:
                     with contextlib.suppress(OSError):
                         sock.close()
-                continue
-            self._sock = sock
-            self._rfile = rfile
-            self._wfile = wfile
-            self._split_classes = set(facts.get("classes", []))
-            self._deferrable = {
-                int(fn_id): set(labels)
-                for fn_id, labels in (facts.get("deferrable") or {}).items()
-            }
-            self.functions = {
-                str(name): fn_id
-                for name, fn_id in (facts.get("functions") or {}).items()
-            }
-            self.server_programs = handshake.get("programs")
-            self.connect_attempts = attempt + 1
-            return
-        self.connect_attempts = policy.connect_retries
+                if isinstance(exc, ChannelProtocolError):
+                    break
         if isinstance(last_error, ChannelError):
             raise last_error
         raise ChannelError(
             "could not connect to %r after %d attempts: %s"
-            % (address, policy.connect_retries, last_error)
+            % (address, self.connect_attempts, last_error)
         )
 
-    def _negotiate_program(self, rfile, wfile, handshake):
-        """Select a named program on a multi-tenant daemon; returns the
-        selected program's handshake facts.  Part of connection setup so
-        the policy's reconnect attempts redo it; deliberately uncounted
-        and unstamped (it precedes the session)."""
-        if "programs" not in handshake:
-            raise ChannelProtocolError(
-                "server speaks protocol %s and does not serve named "
-                "programs; cannot select %r"
-                % (handshake.get("proto", 1), self.program)
+    def _open_session(self):
+        """One connect attempt past the socket: read the handshake, select
+        the program, then the trace and cache hellos."""
+        self._rfile = self._sock.makefile("rb")
+        self._wfile = self._sock.makefile("wb")
+        handshake = _recv(self._rfile)
+        if "error" in handshake:
+            # the daemon refused before speaking the protocol
+            # (connection limit): retryable under the policy
+            raise ChannelError(
+                "server refused connection: %s" % handshake["error"]
             )
-        _send(wfile, {"op": "hello", "program": self.program})
-        reply = _recv(rfile)
-        if "error" in reply:
+        proto = handshake.get("proto", 1)
+        if proto > PROTOCOL_VERSION:
             raise ChannelProtocolError(
-                "program selection failed: %s" % reply["error"]
+                "server speaks protocol %r, client speaks up to %d"
+                % (proto, PROTOCOL_VERSION)
             )
-        result = reply.get("result")
-        return result if isinstance(result, dict) else {}
+        facts = handshake
+        if self.program is not None:
+            if "programs" not in handshake:
+                raise ChannelProtocolError(
+                    "server speaks protocol %s and does not serve named "
+                    "programs; cannot select %r" % (proto, self.program)
+                )
+            # unstamped: the selection precedes the session
+            facts = self._hello({"op": "hello", "program": self.program},
+                                "program selection")
+            if not isinstance(facts, dict):
+                facts = {}
+        #: the split classes whose construction the server must hear of
+        self.split_classes = set(facts.get("classes", []))
+        self._deferrable = {
+            int(fn_id): set(labels)
+            for fn_id, labels in (facts.get("deferrable") or {}).items()
+        }
+        self.functions = {
+            str(name): fn_id
+            for name, fn_id in (facts.get("functions") or {}).items()
+        }
+        self.server_programs = handshake.get("programs")
+        if self.trace:
+            self._trace_handshake()
+        if self.cache:
+            granted = self._hello(
+                self._stamp({"op": "hello", "cache": True}),
+                "cache negotiation")
+            # an old server — or a daemon serving --cache off — answers
+            # without enabling; the run proceeds uncached, still correct
+            self.cache_enabled = (
+                bool(granted.get("cache")) if isinstance(granted, dict)
+                else False
+            )
 
     def close(self):
         with contextlib.suppress(OSError, RuntimeErr):
@@ -906,7 +917,7 @@ class RemoteHiddenRuntime:
         self._request({"op": "close", "hid": hid}, access=None, kind="close", sent=())
 
     def notify_new_instance(self, obj):
-        if obj.class_name not in self._split_classes:
+        if obj.class_name not in self.split_classes:
             return
         payload = {"op": "new_instance", "class": obj.class_name, "oid": obj.oid}
         if self.batching:
@@ -935,6 +946,26 @@ class RemoteHiddenRuntime:
             payload["tc"] = [self.trace_id, self._tseq]
         return payload
 
+    def _trace_ctx(self):
+        """The in-flight request's trace context for its channel events
+        (callbacks included, so attribution can fold them in); ``None``
+        untraced, which keeps those events bit-identical to the seed."""
+        return (self.trace_id, self._tseq) if self.trace else None
+
+    def _hello(self, frame, what):
+        """One ``hello`` exchange at session setup, returning the reply's
+        ``result``; an error reply is a :class:`ChannelProtocolError`
+        saying ``what`` failed.  Deliberately *not* routed through the
+        channel: option negotiation must not perturb the accounting, so
+        sessions with and without these hellos keep identical transcripts
+        and round-trip counts."""
+        _send(self._wfile, frame)
+        reply = _recv(self._rfile)
+        if "error" in reply:
+            raise ChannelProtocolError(
+                "%s failed: %s" % (what, reply["error"]))
+        return reply.get("result")
+
     def _trace_handshake(self):
         """Exchange recorder epochs with the server over an uncounted
         ``hello`` frame (docs/PROTOCOL.md, "Trace context").
@@ -942,26 +973,21 @@ class RemoteHiddenRuntime:
         The server's reply carries its event-timebase ``epoch_us``; the
         offset maps server timestamps onto the client timeline assuming
         the reply was struck at the round trip's midpoint, so the skew
-        bound is half the handshake round trip.  Deliberately *not* routed
-        through the channel: instrumentation must not perturb the very
-        accounting it attributes, so traced runs keep seed-identical
-        transcripts and round-trip counts.  An old server that rejects the
-        frame degrades gracefully (context stamping still works; the
-        merged timeline just stays unaligned)."""
+        bound is half the handshake round trip.  A server that answers
+        without ``epoch_us`` degrades gracefully (context stamping still
+        works; the merged timeline just stays unaligned)."""
         sink = self._sink
         recorder = sink.recorder if sink is not None else None
         send_us = recorder.now_us() if recorder is not None else 0.0
         w0 = time.perf_counter()
-        _send(self._wfile, self._stamp(
+        result = self._hello(self._stamp(
             {"op": "hello", "trace": {"id": self.trace_id, "t": send_us}}
-        ))
-        reply = _recv(self._rfile)
+        ), "trace handshake")
         elapsed_us = (time.perf_counter() - w0) * 1e6
         recv_us = (
             recorder.now_us() if recorder is not None
             else round(send_us + elapsed_us, 1)
         )
-        result = reply.get("result")
         server_us = (
             result.get("epoch_us") if isinstance(result, dict) else None
         )
@@ -978,28 +1004,36 @@ class RemoteHiddenRuntime:
         if sink is not None:
             sink.clock_sync(self.trace_id, self.clock_sync)
 
-    def _cache_handshake(self):
-        """Ask the server to enable its session fragment cache
-        (docs/CACHING.md).  Like the trace handshake, deliberately *not*
-        routed through the channel: a cached run must keep a transcript
-        bit-identical to an uncached one, so the negotiation frame is
-        uncounted.  An old server — or a daemon serving ``--cache off`` —
-        answers without enabling; the run proceeds uncached, still
-        correct."""
-        _send(self._wfile, self._stamp({"op": "hello", "cache": True}))
-        reply = _recv(self._rfile)
-        if "error" in reply:
-            raise ChannelProtocolError(
-                "cache negotiation failed: %s" % reply["error"]
-            )
-        result = reply.get("result")
-        self.cache_enabled = (
-            bool(result.get("cache")) if isinstance(result, dict) else False
-        )
-
     def _defer(self, payload, kind, hid, sent, label=None):
         self._outbox.append(payload)
         self.channel.defer(kind, hid, "-", label, sent)
+
+    def _exchange(self, payload, access=None):
+        """Send one frame and read its direct reply, answering the server's
+        callbacks in between; returns ``(reply, phases)``.
+
+        Traced, ``phases`` decomposes the round trip: serialize (dump +
+        write), wire+queue, server execution (the reply's ``t`` field) and
+        reply deserialize (parse), summing to the measured wall time by
+        construction (:func:`_phase_split`).  Callback servicing happens
+        inside the server's echoed execution time, so the decomposition
+        still covers the whole round trip.  Untraced, ``phases`` is
+        ``None``."""
+        t0 = time.perf_counter()
+        _send(self._wfile, payload)
+        t_sent = time.perf_counter()
+        while True:
+            line = _readline(self._rfile)
+            t_line = time.perf_counter()
+            msg = _parse_frame(line)
+            if "cb" not in msg:
+                break
+            self._answer_callback(msg, access)
+        phases = None
+        if self.trace:
+            phases = _phase_split(t0, t_sent, t_line, time.perf_counter(),
+                                  msg.get("t", 0.0))
+        return msg, phases
 
     def _flush_outbox(self):
         """Ship the outbox as one ``batch`` frame and await its single
@@ -1009,77 +1043,21 @@ class RemoteHiddenRuntime:
         if not self._outbox:
             return
         msgs, self._outbox = self._outbox, []
-        payload = self._stamp({"op": "batch", "msgs": msgs})
-        if not self.trace:
-            _send(self._wfile, payload)
-            self.channel.flush_deferred()
-            reply = _recv(self._rfile)
-            if "error" in reply:
-                raise RuntimeErr(
-                    "hidden server (deferred): %s" % reply["error"])
-            return
-        reply, phases = self._timed_exchange(payload)
-        self.channel.flush_deferred(
-            phases=phases, trace=(self.trace_id, self._tseq))
+        reply, phases = self._exchange(
+            self._stamp({"op": "batch", "msgs": msgs}))
+        self.channel.flush_deferred(phases=phases, trace=self._trace_ctx())
         if "error" in reply:
             raise RuntimeErr("hidden server (deferred): %s" % reply["error"])
 
-    def _timed_exchange(self, payload):
-        """Send one frame and read its direct reply, measuring the phase
-        decomposition: serialize (dump + write), wire+queue, server
-        execution (the reply's ``t`` field), and reply deserialize
-        (parse).  The four phases sum to the measured wall time by
-        construction — see :func:`_phase_split`."""
-        t0 = time.perf_counter()
-        _send(self._wfile, payload)
-        t_sent = time.perf_counter()
-        line = _readline(self._rfile)
-        t_line = time.perf_counter()
-        msg = _parse_frame(line)
-        t_parsed = time.perf_counter()
-        return msg, _phase_split(t0, t_sent, t_line, t_parsed,
-                                 msg.get("t", 0.0))
-
     def _request(self, payload, access, kind, sent, label=None):
         self._flush_outbox()
-        self._stamp(payload)
-        if not self.trace:
-            _send(self._wfile, payload)
-            while True:
-                msg = _recv(self._rfile)
-                if "cb" in msg:
-                    self._answer_callback(msg, access)
-                    continue
-                if "error" in msg:
-                    raise RuntimeErr("hidden server: %s" % msg["error"])
-                result = msg.get("result")
-                self.channel.round_trip(kind, payload.get("hid"), "-", label,
-                                        sent, result)
-                return result
-        # traced: measure the phases around the answered frame; callback
-        # servicing happens inside the server's echoed execution time, so
-        # the decomposition still covers the whole round trip
-        t0 = time.perf_counter()
-        _send(self._wfile, payload)
-        t_sent = time.perf_counter()
-        while True:
-            line = _readline(self._rfile)
-            t_line = time.perf_counter()
-            msg = _parse_frame(line)
-            if "cb" in msg:
-                self._answer_callback(msg, access)
-                continue
-            if "error" in msg:
-                raise RuntimeErr("hidden server: %s" % msg["error"])
-            t_parsed = time.perf_counter()
-            result = msg.get("result")
-            self.channel.round_trip(
-                kind, payload.get("hid"), "-", label, sent, result,
-                phases=_phase_split(t0, t_sent, t_line, t_parsed,
-                                    msg.get("t", 0.0)),
-                trace=(self.trace_id, self._tseq),
-            )
-            return result
+        msg, phases = self._exchange(self._stamp(payload), access)
+        if "error" in msg:
+            raise RuntimeErr("hidden server: %s" % msg["error"])
+        result = msg.get("result")
+        self.channel.round_trip(kind, payload.get("hid"), "-", label, sent,
+                                result, phases=phases, trace=self._trace_ctx())
+        return result
 
     def _answer_callback(self, msg, access):
         if access is None:
@@ -1100,7 +1078,7 @@ class RemoteHiddenRuntime:
             elif cb == "fetch_batch":
                 values = access.fetch_batch(msg["items"])
                 self.channel.round_trip("cb_batch", None, "-", None, (), None,
-                                        trace=self._cb_trace())
+                                        trace=self._trace_ctx())
                 _send(self._wfile, {"values": values})
                 return
             else:
@@ -1110,13 +1088,8 @@ class RemoteHiddenRuntime:
             _send(self._wfile, {"error": str(exc)})
             return
         self.channel.round_trip("cb_" + cb.split("_")[0], None, "-", None, (),
-                                value, trace=self._cb_trace())
+                                value, trace=self._trace_ctx())
         _send(self._wfile, {"value": value})
-
-    def _cb_trace(self):
-        """Callbacks belong to the in-flight request: tag their channel
-        events with its context so attribution can fold them in."""
-        return (self.trace_id, self._tseq) if self.trace else None
 
 
 @contextlib.contextmanager

@@ -104,26 +104,15 @@ class Tenant:
             hidden_field_classes=getattr(program, "hidden_field_classes", None),
         )
 
-    def new_server(self, channel=None, engine=DEFAULT_ENGINE,
-                   max_steps=20_000_000, cache=False, cache_quota=None):
+    def new_server(self, channel=None, engine=DEFAULT_ENGINE):
         """A fresh :class:`HiddenServer` over this tenant's tables, with
-        private copies of the initial hidden state.
-
-        ``cache`` enables the fragment result cache for this session;
-        ``cache_quota`` (a :class:`~repro.runtime.cache.CacheQuota`)
-        charges its entries against the tenant's shared budget."""
+        private copies of the initial hidden state."""
         return HiddenServer(
             self.registry,
             channel or Channel(LatencyModel.instant(), record=False),
-            max_steps=max_steps,
             hidden_globals=dict(self.hidden_globals),
             hidden_field_classes=dict(self.hidden_field_classes),
             engine=engine,
-            cache=(
-                FragmentCache(quota=cache_quota, program=self.name)
-                if cache
-                else False
-            ),
         )
 
 
@@ -145,8 +134,7 @@ class HiddenServer:
 
     def __init__(self, registry, channel, max_steps=20_000_000,
                  hidden_globals=None, hidden_field_classes=None,
-                 batching=False, engine=DEFAULT_ENGINE, cache=False,
-                 program="default"):
+                 batching=False, engine=DEFAULT_ENGINE, cache=False):
         """``registry``: fn_id -> (name, {label: HiddenFragment}, storage_map).
 
         ``hidden_globals`` maps hidden global names to their initial values
@@ -177,7 +165,7 @@ class HiddenServer:
         bit-identically to uncached execution.  Pass ``True`` for a
         default per-server cache, or a ready :class:`~repro.runtime.
         cache.FragmentCache` (the daemon does this to attach per-tenant
-        quotas).  ``program`` labels that default cache's metrics.
+        quotas).
         """
         self.registry = registry
         self.channel = channel
@@ -193,7 +181,7 @@ class HiddenServer:
         if isinstance(cache, FragmentCache):
             self.cache = cache
         elif cache:
-            self.cache = FragmentCache(program=program)
+            self.cache = FragmentCache()
         else:
             self.cache = None
         self._sink = obs.get_sink()

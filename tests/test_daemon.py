@@ -199,6 +199,38 @@ def test_selection_after_hidden_state_is_refused():
     assert "bound to program 'alpha'" in reply["error"]
 
 
+def test_hello_declares_one_option_at_a_time():
+    _, sp = make(ALPHA)
+    with remote_server(sp) as address:
+        sock, rfile, wfile = _wire(address)
+        try:
+            _recv(rfile)  # handshake
+            replies = []
+            for hello in (
+                # two options in one frame: refused in-protocol, not
+                # first-match-wins (the cache request used to be dropped)
+                {"program": "default", "cache": True},
+                {"cache": True},
+                {"batching": True},
+                {"program": "default"},
+                {"trace": {"id": "t", "t": 0.0}},
+            ):
+                _send(wfile, dict(hello, op="hello"))
+                replies.append(_recv(rfile))
+        finally:
+            _hangup(sock)
+    refused, cache, batching, program, trace = replies
+    assert refused == {"error": "hello declares one option at a time, "
+                                "got program, cache"}
+    # the session survived the refusal; single-option hellos keep their
+    # replies
+    assert cache == {"result": {"cache": True}}
+    assert batching == {"result": "ok"}
+    assert program["result"]["ok"] is True
+    assert program["result"]["functions"] == {"f": 0}
+    assert sorted(trace["result"]) == ["epoch_us", "ok"]
+
+
 def test_duplicate_program_names_are_rejected():
     _, sp = make(ALPHA)
     with pytest.raises(ValueError, match="duplicate program name"):

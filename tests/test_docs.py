@@ -90,3 +90,36 @@ def test_checker_flags_metric_table_drift(tmp_path):
                for e in errors)
     assert any("repro_engine_total is documented with labels "
                "['side', 'engine']" in e for e in errors)
+
+
+def test_checker_sees_the_servers_hello_options():
+    assert check_docs.defined_hello_options() == {
+        "program", "batching", "cache", "trace"}
+
+
+def _op_table(*hello_keys):
+    rows = "".join('| `{"op": "hello", "%s": X}` | `"ok"` | x |\n' % key
+                   for key in hello_keys)
+    return ("| request | reply `result` | meaning |\n| --- | --- | --- |\n"
+            '| `{"op": "open", "fn_id": N}` | `hid` | x |\n' + rows)
+
+
+def test_checker_accepts_a_hello_table_naming_every_option(tmp_path):
+    doc = tmp_path / "PROTOCOL.md"
+    doc.write_text(_op_table("batching", "program", "cache", "trace"))
+    errors = []
+    check_docs.check_hello_table(
+        doc, doc.read_text(), check_docs.defined_hello_options(), errors)
+    assert errors == []
+
+
+def test_checker_flags_hello_table_drift(tmp_path):
+    doc = tmp_path / "PROTOCOL.md"
+    doc.write_text(_op_table("batching", "program", "cache", "compress"))
+    errors = []
+    check_docs.check_hello_table(
+        doc, doc.read_text(), check_docs.defined_hello_options(), errors)
+    assert len(errors) == 2, errors
+    assert any("hello option 'compress' the server does not handle" in e
+               for e in errors)
+    assert any("hello option 'trace' has no row" in e for e in errors)

@@ -10,18 +10,23 @@ import pytest
 from repro import obs
 from repro.bench.experiments import split_corpus
 from repro.cli import main as cli_main
+from repro.core.classes import split_class
+from repro.core.hidden import FragmentKind, HiddenFragment
 from repro.core.program import split_program
 from repro.lang import check_program, parse_program
+from repro.lang.parser import parse_statements
 from repro.loadgen import parse_slo, run_loadgen
 from repro.loadgen.harness import check_slo, slo_ok
 from repro.loadgen.replay import (
+    ReplayOp,
     load_script,
     script_from_events,
     script_from_transcript,
     summarize,
 )
+from repro.runtime.channel import Channel, LatencyModel
 from repro.runtime.remote import M_SESSIONS, remote_server
-from repro.runtime.server import Tenant
+from repro.runtime.server import HiddenServer, Tenant
 from repro.runtime.splitrun import run_split
 from repro.workloads.inputs import TABLE5_RUNS
 
@@ -35,6 +40,19 @@ func void main(int x) { print(f(x)); }
 """
 
 TRACE_LOG = "examples/traces/dotproduct.server.jsonl"
+
+# a split class the program constructs: its session is two new_instance ops
+METER = """
+class Meter {
+    field int reading;
+    method void tick(int d) { reading = reading + d; }
+}
+func void main(int n) {
+    Meter m = new Meter();
+    Meter k = new Meter();
+    print(n);
+}
+"""
 
 
 def make(source=SOURCE, choices=(("f", "a"),)):
@@ -166,6 +184,53 @@ def test_four_tenant_fleet_has_no_protocol_errors():
                                     "skipped_ops": 0}, name
         assert report["ops"] == 2 * len(scripts[name])
         assert report["latency_ms"]["p95"] > 0
+
+
+class _OpenMemory:
+    def __init__(self):
+        self.stores = []
+
+    def store_index(self, name, index, value):
+        self.stores.append((name, index, value))
+
+
+def test_replay_covers_new_instances_and_store_callbacks():
+    """The two replay paths the Table 5 corpora never reach: new_instance
+    ops of a class-splitting program, and store callbacks of a fragment
+    that writes an open array — both answered, none skipped."""
+    program = parse_program(METER)
+    meter = split_class(program, check_program(program), "Meter")
+    meter_script = script_from_transcript(
+        run_split(meter, args=(1,)).channel.transcript)
+    assert [(op.kind, op.fn) for op in meter_script] == [("open", "Meter")] * 2
+
+    fill = HiddenFragment(0, FragmentKind.STMTS, params=["p"],
+                          body=parse_statements("B[0] = p; B[1] = p + 1;"))
+    registry = {0: ("fill", {0: fill}, {})}
+    # in process, the fragment's stores reach open memory as callbacks
+    channel = Channel(LatencyModel.instant())
+    server = HiddenServer(registry, channel)
+    memory = _OpenMemory()
+    server.call(server.open_activation(0), 0, (4,), memory)
+    assert memory.stores == [("B", 0, 4), ("B", 1, 5)]
+    assert [e.kind for e in channel.transcript.events].count("cb_store") == 2
+    # recorded value counts include the reply: the call sends one zero
+    store_script = [ReplayOp("open", "fill", None, 2),
+                    ReplayOp("call", "fill", 0, 2),
+                    ReplayOp("close", "fill", None, 0)]
+
+    tenants = [Tenant.from_program("meter", meter), Tenant("fill", registry)]
+    with remote_server(tenants=tenants) as address:
+        meter_report = run_loadgen(address, meter_script, clients=2,
+                                   iterations=2, program="meter")
+        store_report = run_loadgen(address, store_script, clients=2,
+                                   iterations=2, program="fill")
+    for report in (meter_report, store_report):
+        assert report["errors"] == {"protocol": 0, "reply": 0,
+                                    "skipped_ops": 0}
+        assert "first_error" not in report
+    assert meter_report["op_counts"] == {"new_instance": 2 * 2 * 2}
+    assert store_report["op_counts"] == {"open": 4, "call": 4, "close": 4}
 
 
 def test_run_loadgen_codegen_engine_smoke():

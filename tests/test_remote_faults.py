@@ -194,6 +194,18 @@ def test_unknown_protocol_revision_rejected(scripted):
     assert "99" in str(err.value)
 
 
+def test_protocol_errors_at_connect_are_not_retried(scripted):
+    # a revision the client cannot speak will not change on a second try:
+    # only transient failures (socket errors, timeouts, retryable
+    # refusals) spend the policy's connect attempts
+    server = scripted(lambda conn: _handshake(conn, proto=99))
+    policy = ConnectionPolicy(timeout_s=2.0, connect_retries=3,
+                              retry_backoff_s=0.01)
+    with pytest.raises(ChannelProtocolError):
+        RemoteHiddenRuntime(server.address, policy=policy)
+    assert server.accepted == 1
+
+
 def test_connection_refused_raises_channel_error():
     # grab a port and close it again: nothing is listening there
     probe = socket.create_server(("127.0.0.1", 0))

@@ -23,6 +23,7 @@ from repro.runtime.remote import (
     remote_server,
     run_split_remote,
 )
+from repro.runtime.server import Tenant
 from repro.workloads.corpora import build_corpus
 from repro.workloads.inputs import TABLE5_RUNS
 
@@ -250,10 +251,7 @@ def test_server_tags_events_including_batch_sub_ops():
     with obs.telemetry(recorder=server_recorder):
         # the server pins its recorder at construction time
         server = HiddenComponentServer(
-            sp.registry(),
-            hidden_globals=getattr(sp, "hidden_global_inits", None),
-            hidden_field_classes=getattr(sp, "hidden_field_classes", None),
-        )
+            tenants=[Tenant.from_program("default", sp)])
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

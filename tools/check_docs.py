@@ -18,7 +18,10 @@ Failure modes that rot silently:
    ``repro <sub>`` subcommand no ``add_parser`` registers; any
    ``--engine X`` choice shown in a doc that the engine registry
    (``ENGINES`` in ``src/repro/runtime/__init__.py``) does not list.
-4. **Dead file references** — ``docs/*.md``, README.md, DESIGN.md or
+4. **Hello drift** — the ``hello`` rows of the docs/PROTOCOL.md op table
+   must name exactly the options of the server's hello table
+   (``_HELLO_OPTIONS`` in ``src/repro/runtime/remote.py``).
+5. **Dead file references** — ``docs/*.md``, README.md, DESIGN.md or
    EXPERIMENTS.md naming a script under ``tools/``, ``benchmarks/`` or
    ``perfbench/`` or a ``BENCH_*.json`` result file that does not exist,
    or invoking a ``python -m repro.bench`` experiment the runner table
@@ -76,6 +79,11 @@ _PATH_USE = re.compile(
 _BENCH_USE = re.compile(r"python -m repro\.bench((?: [a-z][a-z0-9]*)+)")
 #: the runner table keys in bench/__main__.py
 _BENCH_DEF = re.compile(r'^\s+"([a-z][a-z0-9]*)":\s', re.MULTILINE)
+#: the hello rows of the docs/PROTOCOL.md op table:
+#: | `{"op": "hello", "cache": C}` | ...
+_HELLO_ROW = re.compile(r'^\| `\{"op": "hello", "([a-z_]+)"', re.MULTILINE)
+#: the server's hello-option table in runtime/remote.py
+_HELLO_DEF = re.compile(r"^\s+_HELLO_OPTIONS = \{([^}]*)\}", re.MULTILINE)
 #: top-level docs that describe the repo as it is; the others record
 #: history, plans or outside work and may name files that are gone
 _CURRENT_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
@@ -181,6 +189,28 @@ def defined_bench_experiments():
     return set(_BENCH_DEF.findall(source))
 
 
+def defined_hello_options():
+    source = (REPO / "src/repro/runtime/remote.py").read_text(encoding="utf-8")
+    match = _HELLO_DEF.search(source)
+    if match is None:
+        return set()
+    return set(re.findall(r'"([a-z_]+)":', match.group(1)))
+
+
+def check_hello_table(path, text, options, errors):
+    """The op table must give every option of the server's hello table a
+    row, and document no option the server does not handle."""
+    documented = set(_HELLO_ROW.findall(text))
+    for name in sorted(documented - options):
+        errors.append(
+            "%s: documents a hello option %r the server does not handle "
+            "(not in _HELLO_OPTIONS)" % (_rel(path), name))
+    for name in sorted(options - documented):
+        errors.append(
+            "%s: hello option %r has no row in the op table"
+            % (_rel(path), name))
+
+
 def check_paths(path, text, experiments, errors):
     """Every script or result file a doc names must exist, and every
     ``python -m repro.bench`` experiment it invokes must be defined."""
@@ -254,9 +284,12 @@ def main():
     subcommands = defined_subcommands()
     engines = defined_engines()
     experiments = defined_bench_experiments()
-    if not (routes and flags and subcommands and engines and experiments):
+    hellos = defined_hello_options()
+    if not (routes and flags and subcommands and engines and experiments
+            and hellos):
         print("check_docs: found no routes/flags/subcommands/engines/"
-              "experiments in src/ — the definition regexes are broken",
+              "experiments/hello options in src/ — the definition regexes "
+              "are broken",
               file=sys.stderr)
         return 1
     errors = []
@@ -271,6 +304,8 @@ def main():
             check_subcommands(path, text, subcommands, errors)
         if path.name == "OBSERVABILITY.md":
             check_metric_table(path, text, known, errors)
+        if path.name == "PROTOCOL.md":
+            check_hello_table(path, text, hellos, errors)
         if path.name in ("OBSERVABILITY.md", "OPERATIONS.md", "CACHING.md"):
             check_cli_surface(path, text, routes, flags, errors)
         elif path.name == "TESTING.md":
