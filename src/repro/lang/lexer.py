@@ -1,4 +1,9 @@
-"""Hand-written lexer for the MiniJava-like language."""
+"""Lexer for the MiniJava-like language: one compiled token pattern.
+
+Supports ``//`` line comments and ``/* ... */`` block comments.
+"""
+
+import re
 
 from repro.lang.errors import LexError
 
@@ -25,33 +30,21 @@ KEYWORDS = {
     "new",
 }
 
-# Multi-character operators must be listed before their prefixes.
-OPERATORS = [
-    "&&",
-    "||",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "!",
-    "=",
-    "(",
-    ")",
-    "{",
-    "}",
-    "[",
-    "]",
-    ",",
-    ";",
-    ".",
-]
+#: whitespace and comments; stops before an unterminated ``/*``
+_TRIVIA = re.compile(r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*", re.DOTALL)
+
+#: one token, by group: 1 a word, 2 a number, 3 an operator.  ASCII only
+#: (``[0-9]``, not ``\d``, which accepts digits ``int()`` rejects), and
+#: multi-character operators before their prefixes.  ``/`` never matches
+#: before ``*``: there the trivia stopped at an unterminated comment.
+_TOKEN = re.compile(
+    r"""
+    ([A-Za-z_][A-Za-z0-9_]*)
+    | ((?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+    | (&&|\|\||[=!<>]=|[<>+\-*%!=(){}\[\],;.]|/(?!\*))
+    """,
+    re.VERBOSE,
+)
 
 
 class TokenKind:
@@ -85,124 +78,49 @@ class Token:
         return self.kind == TokenKind.KEYWORD and self.text == text
 
 
-def _is_digit(ch):
-    """ASCII digits only — ``str.isdigit`` accepts unicode digit-likes
-    (e.g. superscripts) that ``int()`` rejects."""
-    return "0" <= ch <= "9"
-
-
-class Lexer:
-    """Converts source text into a list of tokens.
-
-    Supports ``//`` line comments and ``/* ... */`` block comments.
-    """
-
-    def __init__(self, source):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def tokens(self):
-        out = []
-        while True:
-            tok = self._next_token()
-            out.append(tok)
-            if tok.kind == TokenKind.EOF:
-                return out
-
-    # -- internals ----------------------------------------------------------
-
-    def _peek(self, offset=0):
-        idx = self.pos + offset
-        if idx < len(self.source):
-            return self.source[idx]
-        return ""
-
-    def _advance(self, count=1):
-        for _ in range(count):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    def _skip_trivia(self):
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.col
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self.pos >= len(self.source):
-                        raise LexError("unterminated block comment", start_line, start_col)
-                    self._advance()
-                self._advance(2)
-            else:
-                return
-
-    def _next_token(self):
-        self._skip_trivia()
-        line, col = self.line, self.col
-        if self.pos >= len(self.source):
-            return Token(TokenKind.EOF, "", None, line, col)
-        ch = self._peek()
-        if _is_digit(ch) or (ch == "." and _is_digit(self._peek(1))):
-            return self._lex_number(line, col)
-        if (ch.isascii() and ch.isalpha()) or ch == "_":
-            return self._lex_word(line, col)
-        for op in OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token(TokenKind.OP, op, None, line, col)
-        raise LexError("unexpected character %r" % ch, line, col)
-
-    def _lex_number(self, line, col):
-        start = self.pos
-        seen_dot = False
-        seen_exp = False
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if _is_digit(ch):
-                self._advance()
-            elif ch == "." and not seen_dot and not seen_exp and _is_digit(self._peek(1)):
-                seen_dot = True
-                self._advance()
-            elif ch in "eE" and not seen_exp and (
-                _is_digit(self._peek(1))
-                or (self._peek(1) in "+-" and _is_digit(self._peek(2)))
-            ):
-                seen_exp = True
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-            else:
-                break
-        text = self.source[start : self.pos]
-        if seen_dot or seen_exp:
-            return Token(TokenKind.FLOAT, text, float(text), line, col)
-        return Token(TokenKind.INT, text, int(text), line, col)
-
-    def _lex_word(self, line, col):
-        start = self.pos
-        while self.pos < len(self.source) and (
-            self._peek().isascii()
-            and (self._peek().isalnum() or self._peek() == "_")
-        ):
-            self._advance()
-        text = self.source[start : self.pos]
-        if text in KEYWORDS:
-            return Token(TokenKind.KEYWORD, text, None, line, col)
-        return Token(TokenKind.IDENT, text, text, line, col)
-
-
 def tokenize(source):
-    """Tokenize ``source`` into a list ending with an EOF token."""
-    return Lexer(source).tokens()
+    """Tokenize ``source`` into a list ending with an EOF token.
+
+    Tokens never span a newline, so line and column follow from the
+    newlines in the trivia before each token."""
+    out = []
+    append = out.append
+    skip = _TRIVIA.match
+    scan = _TOKEN.match
+    pos, line, line_start = 0, 1, 0
+    while True:
+        end = skip(source, pos).end()
+        if end != pos:
+            newlines = source.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", pos, end) + 1
+            pos = end
+        col = pos - line_start + 1
+        m = scan(source, pos)
+        if m is None:
+            if pos == len(source):
+                append(Token(TokenKind.EOF, "", None, line, col))
+                return out
+            if source.startswith("/*", pos):
+                raise LexError("unterminated block comment", line, col)
+            raise LexError("unexpected character %r" % source[pos], line, col)
+        text = m.group()
+        group = m.lastindex
+        if group == 1:
+            if text in KEYWORDS:
+                append(Token(TokenKind.KEYWORD, text, None, line, col))
+            else:
+                append(Token(TokenKind.IDENT, text, text, line, col))
+        elif group == 3:
+            append(Token(TokenKind.OP, text, None, line, col))
+        elif not text.isdigit():
+            append(Token(TokenKind.FLOAT, text, float(text), line, col))
+        else:
+            try:
+                value = int(text)
+            except ValueError:  # past the interpreter's int-string limit
+                raise LexError("integer literal too long (%d digits)" % len(text),
+                               line, col) from None
+            append(Token(TokenKind.INT, text, value, line, col))
+        pos = m.end()

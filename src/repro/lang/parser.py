@@ -4,15 +4,22 @@ from repro.lang import ast
 from repro.lang.errors import ParseError
 from repro.lang.lexer import TokenKind, tokenize
 
-# Binary operator precedence, lowest binds loosest.
-_PRECEDENCE = [
-    ["||"],
-    ["&&"],
-    ["==", "!="],
-    ["<", "<=", ">", ">="],
-    ["+", "-"],
-    ["*", "/", "%"],
-]
+#: binary operator -> precedence level; a higher level binds tighter, and
+#: every level is left-associative
+_BINARY_LEVEL = {
+    "||": 0,
+    "&&": 1,
+    "==": 2, "!=": 2,
+    "<": 3, "<=": 3, ">": 3, ">=": 3,
+    "+": 4, "-": 4,
+    "*": 5, "/": 5, "%": 5,
+}
+
+#: the most blocks, parenthesised or bracketed expressions, argument
+#: lists, unary operators and ``else if`` links that may enclose one token;
+#: past it the parser raises ``ParseError("nesting too deep")`` instead of
+#: exhausting the interpreter's stack here or in the passes after it
+MAX_NESTING = 100
 
 _SCALAR_TYPE_KEYWORDS = {"int", "float", "bool"}
 
@@ -23,12 +30,16 @@ class Parser:
     def __init__(self, source):
         self.tokens = tokenize(source)
         self.pos = 0
+        self.depth = 0
 
     # -- token utilities ----------------------------------------------------
 
-    def _peek(self, offset=0):
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+    def _peek(self):
+        # the EOF token is last and _advance never moves past it
+        return self.tokens[self.pos]
+
+    def _lookahead(self, offset):
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def _advance(self):
         tok = self.tokens[self.pos]
@@ -59,6 +70,13 @@ class Parser:
             self._advance()
             return True
         return False
+
+    def _descend(self, opening):
+        """Enter one nesting level opened by the token ``opening``; the
+        caller leaves it with ``self.depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("nesting too deep", opening.line, opening.col)
 
     # -- program structure --------------------------------------------------
 
@@ -152,7 +170,7 @@ class Parser:
         else:
             raise ParseError("expected a type, found %r" % tok.text, tok.line, tok.col)
         base.at(tok.line, tok.col)
-        if self._peek().is_op("[") and self._peek(1).is_op("]"):
+        if self._peek().is_op("[") and self._lookahead(1).is_op("]"):
             self._advance()
             self._advance()
             return ast.ArrayType(base).at(tok.line, tok.col)
@@ -161,11 +179,12 @@ class Parser:
     # -- statements ---------------------------------------------------------
 
     def _parse_block_body(self):
-        self._expect_op("{")
+        self._descend(self._expect_op("{"))
         body = []
         while not self._peek().is_op("}"):
             body.append(self.parse_stmt())
         self._expect_op("}")
+        self.depth -= 1
         return body
 
     def parse_stmt(self):
@@ -217,12 +236,12 @@ class Parser:
 
     def _looks_like_decl(self):
         """True when the upcoming IDENT starts a class-typed declaration."""
-        if self._peek(1).kind == TokenKind.IDENT:
+        if self._lookahead(1).kind == TokenKind.IDENT:
             return True  # Foo x
         return (
-            self._peek(1).is_op("[")
-            and self._peek(2).is_op("]")
-            and self._peek(3).kind == TokenKind.IDENT
+            self._lookahead(1).is_op("[")
+            and self._lookahead(2).is_op("]")
+            and self._lookahead(3).kind == TokenKind.IDENT
         )  # Foo[] x
 
     def _parse_var_decl(self):
@@ -256,7 +275,9 @@ class Parser:
         if self._peek().is_keyword("else"):
             self._advance()
             if self._peek().is_keyword("if"):
+                self._descend(self._peek())
                 else_body = [self._parse_if()]
+                self.depth -= 1
             else:
                 else_body = self._parse_block_body()
         return ast.If(cond, then_body, else_body).at(tok.line, tok.col)
@@ -301,27 +322,33 @@ class Parser:
 
     # -- expressions --------------------------------------------------------
 
-    def parse_expr(self):
-        return self._parse_binary(0)
-
-    def _parse_binary(self, level):
-        if level >= len(_PRECEDENCE):
-            return self._parse_unary()
-        left = self._parse_binary(level + 1)
+    def parse_expr(self, min_level=0):
+        """An expression whose top binary operators bind at ``min_level``
+        or tighter: precedence climbing over ``_BINARY_LEVEL``."""
+        left = self._parse_unary()
         while True:
             tok = self._peek()
-            if tok.kind == TokenKind.OP and tok.text in _PRECEDENCE[level]:
-                self._advance()
-                right = self._parse_binary(level + 1)
-                left = ast.BinaryOp(tok.text, left, right).at(tok.line, tok.col)
-            else:
+            # only operator tokens have a binary operator's text
+            level = _BINARY_LEVEL.get(tok.text)
+            if level is None or level < min_level:
                 return left
+            self._advance()
+            right = self.parse_expr(level + 1)
+            left = ast.BinaryOp(tok.text, left, right).at(tok.line, tok.col)
+
+    def _parse_nested_expr(self, opening):
+        self._descend(opening)
+        expr = self.parse_expr()
+        self.depth -= 1
+        return expr
 
     def _parse_unary(self):
         tok = self._peek()
         if tok.is_op("-") or tok.is_op("!"):
             self._advance()
+            self._descend(tok)
             operand = self._parse_unary()
+            self.depth -= 1
             return ast.UnaryOp(tok.text, operand).at(tok.line, tok.col)
         return self._parse_postfix()
 
@@ -330,8 +357,7 @@ class Parser:
         while True:
             tok = self._peek()
             if tok.is_op("["):
-                self._advance()
-                index = self.parse_expr()
+                index = self._parse_nested_expr(self._advance())
                 self._expect_op("]")
                 expr = ast.Index(expr, index).at(tok.line, tok.col)
             elif tok.is_op("."):
@@ -346,7 +372,7 @@ class Parser:
                 return expr
 
     def _parse_args(self):
-        self._expect_op("(")
+        self._descend(self._expect_op("("))
         args = []
         if not self._peek().is_op(")"):
             while True:
@@ -354,6 +380,7 @@ class Parser:
                 if not self._accept_op(","):
                     break
         self._expect_op(")")
+        self.depth -= 1
         return args
 
     def _parse_primary(self):
@@ -372,22 +399,19 @@ class Parser:
             type_tok = self._peek()
             if type_tok.kind == TokenKind.KEYWORD and type_tok.text in _SCALAR_TYPE_KEYWORDS:
                 elem = self._parse_scalar_type()
-                self._expect_op("[")
-                size = self.parse_expr()
+                size = self._parse_nested_expr(self._expect_op("["))
                 self._expect_op("]")
                 return ast.NewArray(elem, size).at(tok.line, tok.col)
             name = self._expect_ident().text
             if self._peek().is_op("["):
-                self._advance()
-                size = self.parse_expr()
+                size = self._parse_nested_expr(self._advance())
                 self._expect_op("]")
                 return ast.NewArray(ast.ClassType(name), size).at(tok.line, tok.col)
             self._expect_op("(")
             self._expect_op(")")
             return ast.NewObject(name).at(tok.line, tok.col)
         if tok.is_op("("):
-            self._advance()
-            expr = self.parse_expr()
+            expr = self._parse_nested_expr(self._advance())
             self._expect_op(")")
             return expr
         if tok.kind == TokenKind.IDENT:

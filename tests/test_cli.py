@@ -122,6 +122,35 @@ def test_missing_file():
     assert "error:" in out
 
 
+DEEP_SOURCE = "func int main() { return %s1%s; }" % ("(" * 120, ")" * 120)
+
+
+@pytest.mark.parametrize("source, message", [
+    (DEEP_SOURCE, "nesting too deep"),
+    ("func int main() { return %s; }" % ("9" * 5000), "integer literal too long"),
+])
+def test_hostile_frontend_input_reported(tmp_path, source, message):
+    path = tmp_path / "hostile.mj"
+    path.write_text(source)
+    code, out = run_cli(["run", str(path)])
+    assert code == 2
+    assert out.startswith("error: 1:")
+    assert message in out
+
+
+def test_serve_refuses_a_manifest_with_a_too_deep_program(prog_file, tmp_path):
+    manifest = tmp_path / "m.json"
+    code, _ = run_cli(["export", prog_file, "--function", "f", "--var", "a",
+                       "-o", str(manifest)])
+    assert code == 0
+    doc = json.loads(manifest.read_text())
+    doc["open_program"] = DEEP_SOURCE
+    manifest.write_text(json.dumps(doc))
+    code, out = run_cli(["serve", str(manifest), "--port", "0"])
+    assert code == 2
+    assert "error: 1:" in out and "nesting too deep" in out
+
+
 def test_split_nothing_to_split(tmp_path):
     path = tmp_path / "plain.mj"
     path.write_text("func void main() { print(1); }")

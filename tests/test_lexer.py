@@ -1,6 +1,8 @@
 """Lexer unit tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lang.errors import LexError
 from repro.lang.lexer import TokenKind, tokenize
@@ -104,3 +106,55 @@ def test_keywords_complete():
     source = "class field method func global int float bool void if else " \
              "while for return print break continue true false new"
     assert all(t.kind == TokenKind.KEYWORD for t in tokenize(source)[:-1])
+
+
+def test_over_long_integer_literal_is_a_lex_error():
+    # int() refuses more than 4,300 digits; that is a diagnostic, not a crash
+    with pytest.raises(LexError) as info:
+        tokenize("x = \n  " + "9" * 5000 + ";")
+    assert info.value.message == "integer literal too long (5000 digits)"
+    assert (info.value.line, info.value.col) == (2, 3)
+
+
+def test_long_float_literal_still_lexes():
+    assert tokenize("9" * 5000 + ".5")[0].kind == TokenKind.FLOAT
+
+
+# -- positions, checked against the source itself ------------------------------
+
+#: pieces that stress the token boundaries: comment openers and closers,
+#: numbers that stop half-way (``.5``, ``1e+``), digits and letters outside
+#: ASCII, and a carriage return (a column, not a line break)
+_PIECES = st.sampled_from([
+    "/*", "*/", "//", "/", "*", ".5", ".", "1e+", "1e", "E-", "2.", "0", "42",
+    "x", "_y", "while", "int", "(", ")", "{", "}", "[", "]", ";", ",",
+    "=", "==", "!", "!=", "<", "<=", "&&", "||", "&", "|", "+", "-",
+    " ", "\t", "\n", "\r", "\r\n", "٣", "²", "é", "ß", "#",
+])
+
+
+def _offset(source, line, col):
+    """The index of 1-based ``(line, col)``; only ``\n`` ends a line."""
+    lines = source.split("\n")
+    return sum(len(text) + 1 for text in lines[: line - 1]) + col - 1
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(_PIECES, max_size=25).map("".join))
+def test_positions_point_into_the_source(source):
+    try:
+        toks = tokenize(source)
+    except LexError as exc:
+        at = _offset(source, exc.line, exc.col)
+        if exc.message == "unterminated block comment":
+            assert source.startswith("/*", at)
+            assert "*/" not in source[at + 2:]
+        else:
+            assert exc.message == "unexpected character %r" % source[at]
+        return
+    for tok in toks[:-1]:
+        at = _offset(source, tok.line, tok.col)
+        assert source[at:at + len(tok.text)] == tok.text
+        # a ``/`` token is a division, never half of a comment opener
+        assert not (tok.text == "/" and source.startswith("/*", at))
+    assert _offset(source, toks[-1].line, toks[-1].col) == len(source)
